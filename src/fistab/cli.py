@@ -26,8 +26,6 @@ def _common(sub: argparse.ArgumentParser) -> None:
                      help="seed for randomized commands")
     sub.add_argument("--max-cells", type=int, default=None,
                      help="override the face-count guard")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; work is single-process")
 
 
 def _emit(args, report: dict, code: int) -> int:

@@ -141,16 +141,12 @@ def _bar_rank(table: np.ndarray, j: int, p: int) -> int:
         col = _bar_column(tup, table, order)
         col = {r: v % p for r, v in col.items() if v % p}
         cols.append(col)
-    if p == 2:
-        idx_lists = [list(c) for c in cols]
-        M = exactlin.pack_rows_gf2(idx_lists, nrows)
-        return exactlin.rank_gf2_packed(M, nrows)
     return exactlin.sparse_rank_modp(cols, nrows, p)
 
 
 def _bar_cap(p: int) -> int:
-    # odd-prime columns reduce in python dicts, far slower than the
-    # bit-packed GF(2) sweep, so they get a smaller direct-bar budget
+    # odd-prime columns reduce as python dicts, far slower than the
+    # GF(2) int-bitset reduction, so they get a smaller direct-bar budget
     return BAR_CAP if p == 2 else BAR_CAP_ODD
 
 
@@ -481,13 +477,7 @@ def equivariant_homology(E: EquivariantInput, k_max: int,
     def rank_at(t: int) -> int:
         if t not in rank_cache:
             cols, nrows = boundary_columns(t)
-            if not cols or nrows == 0:
-                rank_cache[t] = 0
-            elif p == 2:
-                M = exactlin.pack_rows_gf2([list(c) for c in cols], nrows)
-                rank_cache[t] = exactlin.rank_gf2_packed(M, nrows)
-            else:
-                rank_cache[t] = exactlin.sparse_rank_modp(cols, nrows, p)
+            rank_cache[t] = exactlin.sparse_rank_modp(cols, nrows, p)
         return rank_cache[t]
 
     out = {}
@@ -617,7 +607,6 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
     exactlin._check_p(p)
     jmax = k + 2
     mods = bar_fi_modules(m, q, n, jmax)
-    orders = [mods[1].dims[t] if len(mods) > 1 else 1 for t in range(n + 1)]
     groups_orders = [splitbases.congruence_group(m, q, t).order
                      for t in range(n + 1)]
     tables = {t: splitbases.congruence_group(m, q, t).multiplication_table()
@@ -645,6 +634,8 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
 
     subsets = {r: list(itertools.combinations(range(n), r))
                for r in range(n + 1)}
+    subset_index = {r: {R: i for i, R in enumerate(subs)}
+                    for r, subs in subsets.items()}
 
     def boundary_columns(t: int) -> tuple[list[dict[int, int]], int]:
         src, dst = blocks(t), blocks(t - 1)
@@ -669,7 +660,7 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
                         base_r = dst_off[(j, r - 1)]
                         for jj, elem in enumerate(R):
                             R2 = R[:jj] + R[jj + 1:]
-                            R2i = subsets[r - 1].index(R2)
+                            R2i = subset_index[r - 1][R2]
                             tpos = elem - jj
                             dst_c = int(ins_maps[tpos][c])
                             idx = base_r + (R2i * mods[j].dims[lev + 1]
@@ -689,11 +680,6 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
 
     def rank_at(t: int) -> int:
         cols, nrows = boundary_columns(t)
-        if not cols or nrows == 0:
-            return 0
-        if p == 2:
-            M = exactlin.pack_rows_gf2([list(c) for c in cols], nrows)
-            return exactlin.rank_gf2_packed(M, nrows)
         return exactlin.sparse_rank_modp(cols, nrows, p)
 
     return total_dim(k) - rank_at(k) - rank_at(k + 1)

@@ -3,8 +3,9 @@
 Everything here is exact: F_p arithmetic uses int64 numpy arrays reduced
 mod p (p < 2**31, so products fit in int64 headroom after reduction), the
 integer Smith normal form uses arbitrary-precision Python ints.  The two
-heavy paths are a vectorized dense elimination mod p and a bit-packed
-GF(2) eliminator for large sparse boundary matrices.
+heavy paths are a vectorized dense elimination mod p and one sparse
+column reduction for large boundary matrices, which over GF(2) runs on
+Python-int bitsets.
 """
 
 from __future__ import annotations
@@ -134,18 +135,22 @@ def colspace_complement_projection(A, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# sparse left-to-right column reduction (primary sparse path)
+# sparse left-to-right column reduction
 # ---------------------------------------------------------------------------
 
 
-def sparse_rank_modp(columns: list[dict[int, int]], nrows: int, p: int) -> int:
+def sparse_rank_modp(columns: list, nrows: int, p: int) -> int:
     """Rank of a column-sparse matrix over F_p.
 
-    `columns[j]` maps row index -> coefficient.  Left-to-right reduction
-    with a pivot table keyed on the lowest (largest-index) nonzero row,
-    the same scheme used for boundary-matrix reduction.
+    `columns[j]` maps row index -> coefficient; for p = 2 it may also be
+    a list of row indices, a repeated index cancelling.  Left-to-right
+    reduction with a pivot table keyed on the lowest (largest-index)
+    nonzero row, the same scheme used for boundary-matrix reduction.
+    Over F_2 each column is a Python-int bitset (`rank_gf2_from_columns`).
     """
     _check_p(p)
+    if p == 2:
+        return rank_gf2_from_columns(columns, nrows)
     pivot: dict[int, dict[int, int]] = {}
     rank = 0
     for col in columns:
@@ -171,88 +176,65 @@ def sparse_rank_modp(columns: list[dict[int, int]], nrows: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bit-packed GF(2)
+# GF(2) bitsets: one Python int per row (or column), bit i for index i
 # ---------------------------------------------------------------------------
 
 
-def pack_rows_gf2(rows: list[list[int]] | np.ndarray, ncols: int) -> np.ndarray:
-    """Pack row-wise column-index lists into a (nrows, ceil(ncols/64)) table."""
-    nwords = (ncols + 63) // 64
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        # fixed number of entries per row: vectorized scatter with parity
-        nrows = rows.shape[0]
-        M = np.zeros((nrows, nwords), dtype=np.uint64)
-        for k in range(rows.shape[1]):
-            idx = rows[:, k].astype(np.int64)
-            M[np.arange(nrows), idx >> 6] ^= np.uint64(1) << (idx & 63).astype(np.uint64)
-        return M
-    M = np.zeros((len(rows), nwords), dtype=np.uint64)
-    for i, cols in enumerate(rows):
-        for c in cols:
-            M[i, c >> 6] ^= np.uint64(1) << np.uint64(c & 63)
-    return M
-
-
-def rank_gf2_packed(M: np.ndarray, ncols: int, max_rank: int | None = None) -> int:
-    """Rank of a bit-packed GF(2) matrix.  Destroys M.
-
-    Column-sweep elimination with periodic compaction of zeroed rows;
-    XORs are restricted to the word range at and beyond the pivot word.
+def pack_rows_gf2(rows, ncols: int) -> list[int]:
+    """One int per row, with bit c set when c occurs an odd number of
+    times in the row.  A row is an index list (a 2d array gives one list
+    per row) or a dict index -> coefficient, whose even entries drop out.
     """
-    if M.size == 0:
-        return 0
-    M = np.ascontiguousarray(M)
-    nwords = M.shape[1]
-    rank = 0
-    r = 0
-    cap = max_rank if max_rank is not None else min(M.shape[0], ncols)
-    since_compact = 0
-    for c in range(ncols):
-        if rank >= cap or r >= M.shape[0]:
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    packed = []
+    for row in rows:
+        x = 0
+        if isinstance(row, dict):
+            for c, v in row.items():
+                if v % 2:
+                    x ^= 1 << int(c)
+        else:
+            for c in row:
+                x ^= 1 << int(c)
+        if x >> ncols:
+            raise ValueError(f"index {x.bit_length() - 1} out of range {ncols}")
+        packed.append(x)
+    return packed
+
+
+def rank_gf2_packed(M: list[int], ncols: int) -> int:
+    """Rank over GF(2) of the rows M, each an int of `ncols` bits.
+
+    Each row is reduced against a table of earlier pivot rows keyed on
+    their highest set bit, until it is zero or has a new highest bit.
+    """
+    pivots: dict[int, int] = {}
+    for x in M:
+        while x:
+            low = x.bit_length() - 1
+            y = pivots.get(low)
+            if y is None:
+                pivots[low] = x
+                break
+            x ^= y
+        if len(pivots) == ncols:
             break
-        w, b = divmod(c, 64)
-        mask = np.uint64(1) << np.uint64(b)
-        hit = np.nonzero(M[r:, w] & mask)[0]
-        if hit.size == 0:
-            continue
-        piv = r + int(hit[0])
-        if piv != r:
-            tmp = M[r].copy()
-            M[r] = M[piv]
-            M[piv] = tmp
-        rest = r + hit[1:]
-        if rest.size:
-            M[rest[:, None], np.arange(w, nwords)] ^= M[r, w:]
-        r += 1
-        rank += 1
-        since_compact += 1
-        if since_compact >= 2048 and M.shape[0] - r > 4096:
-            live = np.nonzero(M[r:].any(axis=1))[0]
-            if live.size < M.shape[0] - r:
-                M = np.concatenate([M[:r], M[r + live]], axis=0)
-            since_compact = 0
-    return rank
+    return len(pivots)
 
 
 def rank_gf2_dense(A) -> int:
-    A = (np.asarray(A, dtype=np.int64) % 2).astype(np.uint8)
-    m, n = A.shape
-    if m == 0 or n == 0:
-        return 0
-    if m < n:
-        A = A.T
-        m, n = n, m
-    packed = pack_rows_gf2([list(np.nonzero(row)[0]) for row in A], n)
-    return rank_gf2_packed(packed, n)
+    """Rank over GF(2) of a dense matrix, its rows packed by np.packbits."""
+    A = np.asarray(A, dtype=np.int64) % 2
+    rows = np.packbits(A.astype(np.uint8), axis=1, bitorder="little")
+    return rank_gf2_packed([int.from_bytes(r.tobytes(), "little") for r in rows],
+                           A.shape[1])
 
 
-def rank_gf2_from_columns(columns: np.ndarray, nrows: int,
-                          max_rank: int | None = None) -> int:
-    """Rank over GF(2) of a matrix given as (ncols, k) row-index array,
-    column j having ones exactly at rows columns[j, :] (distinct entries).
-    Transposes to rows internally: rank is symmetric."""
-    M = pack_rows_gf2(columns, nrows)
-    return rank_gf2_packed(M, nrows, max_rank=max_rank)
+def rank_gf2_from_columns(columns, nrows: int) -> int:
+    """Rank over GF(2) of a matrix given by its columns, in any form
+    `pack_rows_gf2` takes; rank is symmetric, so columns pack as rows."""
+    return rank_gf2_packed(pack_rows_gf2(columns, nrows), nrows)
 
 
 # ---------------------------------------------------------------------------

@@ -564,12 +564,6 @@ def _boundary_rank(faces_k: list[tuple[int, ...]],
         return 0
     index = {f: i for i, f in enumerate(faces_km1)}
     k1 = len(faces_k[0])
-    if p == 2:
-        cols = np.zeros((len(faces_k), k1), dtype=np.int64)
-        for c, f in enumerate(faces_k):
-            for j in range(k1):
-                cols[c, j] = index[f[:j] + f[j + 1:]]
-        return exactlin.rank_gf2_from_columns(cols, len(faces_km1))
     columns = []
     for f in faces_k:
         col: dict[int, int] = {}

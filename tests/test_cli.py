@@ -43,6 +43,14 @@ def test_bounds_audit_requires_seed(capsys):
     assert "seed" in err
 
 
+def test_threads_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "congruence", "--d", "0", "--k", "1",
+                  "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_construct_validate_invariants_pipeline(tmp_path, capsys):
     f = tmp_path / "m.json"
     code, _, _ = run(capsys, "fimod", "construct", "--kind",

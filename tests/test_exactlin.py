@@ -177,6 +177,54 @@ def test_gf2_from_columns_wide():
     assert exactlin.rank_gf2_from_columns(cols, 40) == rank_oracle(dense, 2)
 
 
+@st.composite
+def gf2_columns(draw):
+    """(columns, dense matrix) over Z: tall or wide, each column either a
+    dict with arbitrary coefficients or an index list with repeats."""
+    short, long = draw(st.integers(0, 8)), draw(st.integers(0, 24))
+    nrows, ncols = draw(st.sampled_from([(long, short), (short, long)]))
+    A = np.zeros((nrows, ncols), dtype=np.int64)
+    cols = []
+    for j in range(ncols):
+        if nrows == 0:
+            cols.append(draw(st.sampled_from([{}, []])))
+        elif draw(st.booleans()):
+            col = draw(st.dictionaries(st.integers(0, nrows - 1),
+                                       st.integers(-9, 9), max_size=nrows))
+            for i, v in col.items():
+                A[i, j] = v
+            cols.append(col)
+        else:
+            col = draw(st.lists(st.integers(0, nrows - 1), max_size=2 * nrows))
+            for i in col:
+                A[i, j] += 1
+            cols.append(col)
+    return cols, A
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf2_columns())
+def test_sparse_rank_gf2_matches_oracle(case):
+    cols, A = case
+    assert exactlin.sparse_rank_modp(cols, A.shape[0], 2) == rank_oracle(A, 2)
+
+
+def test_rank_modp_gf2_above_dense_threshold():
+    # A = L D U with L, U unit triangular and D a 0/1 diagonal with r
+    # ones has rank exactly r; float64 products of 0/1 entries this
+    # small are exact
+    rng = np.random.default_rng(11)
+    m, n, r = 2048, 2049, 1500
+    assert m * n > 1 << 22
+    L = np.tril(rng.integers(0, 2, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
+    U = np.triu(rng.integers(0, 2, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+    D = np.zeros((m, n))
+    ones = rng.choice(min(m, n), size=r, replace=False)
+    D[ones, ones] = 1
+    A = (L.astype(np.float64) @ D @ U.astype(np.float64)).astype(np.int64) % 2
+    assert exactlin.rank_modp(A, 2) == r
+
+
 # Smith normal form ---------------------------------------------------------
 
 
