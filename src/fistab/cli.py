@@ -67,7 +67,7 @@ def _report(args, outputs: dict, t0: float, verdict=None) -> dict:
         "command": " ".join(sys.argv[1:]) if sys.argv[1:] else "",
         "version": __version__,
         "outputs": outputs,
-        "timings": {"seconds": round(time.time() - t0, 3)},
+        "timings": {"seconds": round(time.perf_counter() - t0, 3)},
     }
     if getattr(args, "seed", None) is not None:
         rep["seed"] = args.seed
@@ -88,7 +88,7 @@ def _load_module(path: str) -> fi_core.FIModuleWindow:
 
 
 def _cmd_fimod_validate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     M = _load_module(args.file)
     errors = fi_core.validate(M)
     rep = _report(args, {"errors": errors},
@@ -97,7 +97,7 @@ def _cmd_fimod_validate(args) -> int:
 
 
 def _cmd_fimod_construct(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.kind == "constant":
         M = fi_core.constant_module(args.p, args.N)
     elif args.kind == "free":
@@ -121,24 +121,27 @@ def _cmd_fimod_construct(args) -> int:
 
 
 def _cmd_fimod_invariants(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     M = _load_module(args.file)
+    fi_core.assert_valid(M)
     inv = fi_homology.invariants(M)
     rep = _report(args, inv.asdict(), t0)
     return _emit(args, rep, 0)
 
 
 def _cmd_fimod_homology(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     M = _load_module(args.file)
+    fi_core.assert_valid(M)
     table = fi_homology.homology_table(M, args.imax)
     rep = _report(args, {"dims": M.dims, "homology": table}, t0)
     return _emit(args, rep, 0)
 
 
 def _cmd_fimod_fit(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     M = _load_module(args.file)
+    fi_core.assert_valid(M)
     inv = fi_homology.invariants(M)
     fit = fi_homology.polynomial_fit(M, inv.delta, inv.hmax)
     rep = _report(args, {"coeffs": list(fit.coeffs), "onset": fit.onset,
@@ -152,7 +155,7 @@ def _cmd_fimod_fit(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     which = args.bounds_cmd
     if which == "star":
         out = bounds.star_bounds(args.t0, args.t1)
@@ -194,7 +197,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_spb_build(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     X = splitbases.spb_complex(args.m, args.q, args.n, args.variant)
     doc = X.encode()
     if args.out:
@@ -209,7 +212,7 @@ def _cmd_spb_build(args) -> int:
 
 
 def _cmd_spb_homology(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.file:
         with open(args.file) as fh:
             X = splitbases.SimplicialComplex.decode(json.load(fh))
@@ -228,7 +231,7 @@ def _cmd_spb_homology(args) -> int:
 
 
 def _cmd_spb_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     mode = args.mode
     if mode == "theoremD":
         out = splitbases.verify_theoremD(args.p, args.ell, args.k)
@@ -255,7 +258,7 @@ def _cmd_spb_verify(args) -> int:
 
 
 def _cmd_cong(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     which = args.cong_cmd
     if which == "group":
         out = congruence.identify_structure(args.m, args.q, args.n)

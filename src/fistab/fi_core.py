@@ -185,16 +185,32 @@ class FIModuleWindow:
     act: list[list[np.ndarray]]      # act[n][i]: s_i on level n, i <= n-2
     phi: list[np.ndarray | None]     # phi[n]: level n-1 -> level n; phi[0] None
     name: str = ""
+    # derived data (insertion maps, Koszul ranks) computed once per window;
+    # valid because a window's matrices are not mutated after construction
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def perm_matrix(self, n: int, sigma) -> np.ndarray:
         return matrix_of_permutation(self.act[n], sigma, self.p, self.dims[n])
 
     def insertion_map(self, m: int, t: int) -> np.ndarray:
-        """Matrix of the order-preserving injection [m] -> [m+1] missing t."""
+        """Matrix of the order-preserving injection [m] -> [m+1] missing t.
+
+        All m+1 maps of level m are built together, by
+        insertion_permutation(m, t) = s_t o insertion_permutation(m, t+1),
+        and cached read-only on the window.
+        """
         if m + 1 > self.N:
             raise WindowError(f"insertion into level {m+1} beyond window {self.N}")
-        pi = insertion_permutation(m, t)
-        return self.perm_matrix(m + 1, pi) @ self.phi[m + 1] % self.p
+        maps = self.cache.get(("ins", m))
+        if maps is None:
+            maps = [self.phi[m + 1] % self.p]
+            for s in range(m - 1, -1, -1):
+                maps.append(self.act[m + 1][s] @ maps[-1] % self.p)
+            maps.reverse()
+            for A in maps:
+                A.flags.writeable = False
+            self.cache[("ins", m)] = maps
+        return maps[t]
 
     def composite_phi(self, a: int, b: int) -> np.ndarray:
         """Structure map composite: level a -> level b along standard inclusions."""

@@ -1,7 +1,6 @@
 """Homology functors, stability invariants and polynomial fitting.
 
-Two independent routes to generation and relation degrees are kept side
-by side on purpose:
+Two routes to generation and relation degrees are kept side by side:
 
 * the subset-indexed Koszul-style complex (`koszul_boundary`,
   `homology_table`), exact at every evaluation level using only levels
@@ -9,7 +8,10 @@ by side on purpose:
 * the induction presentation complex (`presentation_profiles`), built
   from coset transversals.
 
-`presentation_degrees` runs both and raises on disagreement.
+`presentation_degrees` runs both and raises on disagreement.  Only the
+H_1 half is an independent check: the induction map of the presentation
+complex is the Koszul boundary d_1 itself, so both H_0 profiles read the
+same rank.  The relation map of H_1 is assembled separately.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import numpy as np
 
 from . import exactlin
 from .fi_core import (FIModuleWindow, FIMapWindow, WindowError,
-                      insertion_permutation, shift, derivative,
-                      observed_torsion)
+                      _shift_once, shift, derivative, observed_torsion)
 
 
 class InternalConsistencyError(Exception):
@@ -78,21 +79,25 @@ def koszul_dims(M: FIModuleWindow, n: int) -> list[int]:
     return [comb(n, k) * M.dims[n - k] for k in range(n + 1)]
 
 
+def koszul_rank(M: FIModuleWindow, n: int, k: int,
+                D: np.ndarray | None = None) -> int:
+    """Rank of the boundary C_k -> C_{k-1} at evaluation n, computed once
+    per window.  D, when given, is that boundary, already assembled."""
+    if k < 1 or k > n:
+        return 0
+    key = ("rank", n, k)
+    if key not in M.cache:
+        if D is None:
+            D = koszul_boundary(M, n, k)
+        M.cache[key] = exactlin.rank_modp(D, M.p)
+    return M.cache[key]
+
+
 def homology_at(M: FIModuleWindow, n: int, i_max: int) -> list[int]:
     """dim H_i at evaluation n for 0 <= i <= i_max."""
     dims = koszul_dims(M, n)
-    kmax = min(n, i_max + 1)
-    ranks = [0] * (n + 2)
-    for k in range(1, kmax + 1):
-        ranks[k] = exactlin.rank_modp(koszul_boundary(M, n, k), M.p)
-    out = []
-    for i in range(i_max + 1):
-        if i > n:
-            out.append(0)
-            continue
-        ci = dims[i]
-        out.append(ci - ranks[i] - ranks[i + 1])
-    return out
+    return [dims[i] - koszul_rank(M, n, i) - koszul_rank(M, n, i + 1)
+            if i <= n else 0 for i in range(i_max + 1)]
 
 
 def homology_table(M: FIModuleWindow, i_max: int) -> list[list[int]]:
@@ -114,26 +119,8 @@ def degree_of_profile(profile: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# presentation route (independent of the Koszul assembly)
+# presentation route (the relation map is assembled apart from the Koszul one)
 # ---------------------------------------------------------------------------
-
-
-def _transversal_block(M: FIModuleWindow, n: int, j: int) -> np.ndarray:
-    """rho_n(tau_j) Phi_n where tau_j is the coset representative sending
-    the top point of [n] to j, order-preserving on the rest."""
-    tau = insertion_permutation(n - 1, j)
-    return M.perm_matrix(n, tau) @ M.phi[n] % M.p
-
-
-def presentation_mu(M: FIModuleWindow, n: int) -> np.ndarray:
-    """Induction of level n-1 to level n: blocks over the n cosets."""
-    d = M.dims[n]
-    src = n * M.dims[n - 1]
-    mu = np.zeros((d, src), dtype=np.int64)
-    w = M.dims[n - 1]
-    for j in range(n):
-        mu[:, j * w:(j + 1) * w] = _transversal_block(M, n, j)
-    return mu
 
 
 def presentation_relation_map(M: FIModuleWindow, n: int) -> np.ndarray:
@@ -150,27 +137,14 @@ def presentation_relation_map(M: FIModuleWindow, n: int) -> np.ndarray:
     D = np.zeros((n * w1, len(pairs) * w2), dtype=np.int64)
     if w2 == 0 or w1 == 0:
         return D
-
-    def rep(a: int, b: int) -> tuple[int, ...]:
-        rest = [x for x in range(n) if x not in (a, b)]
-        return tuple(rest + [a, b])
-
-    def tau_inv(j: int) -> tuple[int, ...]:
-        tau = insertion_permutation(n - 1, j)
-        inv = [0] * n
-        for x, y in enumerate(tau):
-            inv[y] = x
-        return tuple(inv)
-
+    ins = [M.insertion_map(n - 2, t) for t in range(n - 1)]
     for c, (a, b) in enumerate(pairs):
         for swapped in (False, True):
             x, y = (b, a) if swapped else (a, b)
-            # h_{x,y} lands in the coset of tau_y; the twist is the leftover
-            # permutation of [n-1]
-            h = rep(x, y)
-            ti = tau_inv(y)
-            wperm = tuple(ti[h[i]] for i in range(n - 1))
-            blk = M.perm_matrix(n - 1, wperm) @ M.phi[n - 1] % p
+            # h_{x,y} lands in the coset of tau_y; the leftover permutation
+            # of [n-1] is the insertion missing the position of x in
+            # [n] minus {y}
+            blk = ins[x - (x > y)]
             if swapped:
                 blk = (-blk) % p
             i0 = y * w1
@@ -187,8 +161,8 @@ def presentation_profiles(M: FIModuleWindow) -> tuple[list[int], list[int]]:
     h1 = [0] * (M.N + 1)
     h0[0] = M.dims[0]
     for n in range(1, M.N + 1):
-        mu = presentation_mu(M, n)
-        r_mu = exactlin.rank_modp(mu, p)
+        mu = koszul_boundary(M, n, 1)
+        r_mu = koszul_rank(M, n, 1, mu)
         h0[n] = M.dims[n] - r_mu
         if n == 1:
             h1[n] = mu.shape[1] - r_mu
@@ -219,15 +193,21 @@ def presentation_degrees(M: FIModuleWindow) -> tuple[int, int]:
 
 def is_semi_induced_window(M: FIModuleWindow) -> bool:
     """True when every higher homology vanishes at every window level."""
-    for n in range(M.N + 1):
-        dims = koszul_dims(M, n)
-        ranks = [0] * (n + 2)
-        for k in range(1, n + 1):
-            ranks[k] = exactlin.rank_modp(koszul_boundary(M, n, k), M.p)
-        for i in range(1, n + 1):
-            if dims[i] - ranks[i] - ranks[i + 1] != 0:
-                return False
-    return True
+    return all(not any(homology_at(M, n, n)[1:]) for n in range(M.N + 1))
+
+
+def _shifted(M: FIModuleWindow, s: int) -> FIModuleWindow:
+    """shift(M, s), unnamed, from a chain of single shifts kept in M's cache.
+
+    The chain holds only the shifts, never M itself, so it forms no
+    reference cycle through M; `invariants` drops it when it returns.
+    """
+    if s == 0:
+        return M
+    chain = M.cache.setdefault("shifts", [])
+    while len(chain) < s:
+        chain.append(_shift_once(chain[-1] if chain else M))
+    return chain[s - 1]
 
 
 @dataclass
@@ -260,7 +240,7 @@ def stable_degree(M: FIModuleWindow) -> StableDegreeResult:
 
     t0s: list[int] = []
     for s in range(M.N):
-        S = shift(M, s)
+        S = _shifted(M, s)
         t0s.append(degree_of_profile(homology_table(S, 0)[0]))
     # only trust a shifted generation degree when the remaining window
     # extends at least one level past it, so the degree is not an artifact
@@ -300,7 +280,7 @@ def local_degree(M: FIModuleWindow,
     if delta is None:
         delta = stable_degree(M).delta
     for s in range(M.N + 1):
-        S = shift(M, s)
+        S = _shifted(M, s)
         if is_semi_induced_window(S):
             certified = delta is not None and (M.N - s) >= delta + 1
             return LocalDegreeResult(s - 1, certified, s + 1)
@@ -546,9 +526,12 @@ class InvariantReport:
 
 
 def invariants(M: FIModuleWindow) -> InvariantReport:
-    t0, t1 = presentation_degrees(M)
-    sd = stable_degree(M)
-    ld = local_degree(M, sd.delta)
+    try:
+        t0, t1 = presentation_degrees(M)
+        sd = stable_degree(M)
+        ld = local_degree(M, sd.delta)
+    finally:
+        M.cache.pop("shifts", None)
     _, h0 = observed_torsion(M)
     return InvariantReport(t0, t1, sd.delta, sd.certified, ld.hmax,
                            ld.certified, h0, is_semi_induced_window(M))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fistab import cli
+from fistab import cli, fi_core
 
 
 def run(capsys, *argv):
@@ -90,6 +90,21 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "fimod", "invariants", str(tmp_path / "no"))
     assert code == 2
+
+
+def test_fimod_commands_reject_invalid_window(tmp_path, capsys):
+    M = fi_core.free_module(2, 1, 4)
+    M.act[4][0] = M.act[4][1]
+    f = tmp_path / "broken.json"
+    fi_core.save(M, str(f))
+    for cmd in ("invariants", "homology", "fit"):
+        code, out, err = run(capsys, "fimod", cmd, str(f))
+        assert code == 2, cmd
+        assert out == "" and "error:" in err
+    code, out, _ = run(capsys, "fimod", "validate", str(f), "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "invalid" and doc["outputs"]["errors"]
 
 
 def test_feasibility_guard_exit_code(capsys):

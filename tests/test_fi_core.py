@@ -134,6 +134,34 @@ def test_insertion_maps_commute_with_phi_chain(p, d, N):
         assert (top == M.phi[m + 1]).all()
 
 
+def _window(kind: str, p: int, seed: int) -> fi_core.FIModuleWindow:
+    if kind == "induced":
+        V = fi_core.fb_direct_sum(fi_core.fb_trivial(p, seed % 3),
+                                  fi_core.fb_regular(p, 2))
+        return fi_core.induced_module(V, 5)
+    M = fi_core.random_presented(p, 6, 1 + seed % 2, 2 + seed % 2, seed)
+    if kind == "shifted":
+        return fi_core.shift(M, 1 + seed % 2)
+    if kind == "derivative":
+        return fi_core.derivative(M)
+    return M
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["induced", "presented", "shifted", "derivative"]),
+       primes, st.integers(0, 500))
+def test_cached_insertion_maps_match_permutation_route(kind, p, seed):
+    # the recursion ins(m, t) = s_t ins(m, t+1) against the product over an
+    # adjacent factorization of the insertion permutation
+    M = _window(kind, p, seed)
+    for m in range(M.N):
+        for t in range(m + 1):
+            sigma = fi_core.insertion_permutation(m, t)
+            want = fi_core.matrix_of_permutation(
+                M.act[m + 1], sigma, p, M.dims[m + 1]) @ M.phi[m + 1] % p
+            assert (M.insertion_map(m, t) == want).all()
+
+
 # direct sums, maps, sub/quotient ----------------------------------------------
 
 

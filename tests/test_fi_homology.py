@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +82,27 @@ def test_presentation_level_edge_cases():
     assert h1[1] == M.dims[0] - rank
 
 
+def test_relation_map_blocks_are_insertion_maps():
+    # every block of presentation_relation_map is the insertion map
+    # missing x - (x > y); the coset permutation is recomputed here from
+    # the representative h_{x,y} and the inverse of tau_y
+    cases = 0
+    for n in range(2, 10):
+        for x in range(n):
+            for y in range(n):
+                if x == y:
+                    continue
+                h = [z for z in range(n) if z not in (x, y)] + [x, y]
+                tau = fi_core.insertion_permutation(n - 1, y)
+                ti = [0] * n
+                for i, z in enumerate(tau):
+                    ti[z] = i
+                wperm = tuple(ti[h[i]] for i in range(n - 1))
+                assert wperm == fi_core.insertion_permutation(n - 2, x - (x > y))
+                cases += 1
+    assert cases == 240
+
+
 def test_presentation_consistency_guard():
     M = fi_core.free_module(2, 1, 5)
     # corrupting an action matrix must either fail validation or trip the
@@ -107,6 +130,46 @@ def test_free_module_invariants(p, m):
     assert inv.delta == m and inv.delta_certified
     assert inv.hmax == -1 and inv.hmax_certified
     assert inv.semi_induced
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_invariants_repeatable(seed):
+    # a second call reads the window's cached ranks; a fresh identical
+    # window recomputes them
+    def build():
+        return fi_core.random_presented(2 + seed % 2, 6, 2, 3, seed)
+
+    M = build()
+    first = fi_homology.invariants(M)
+    assert fi_homology.invariants(M) == first
+    fresh = build()
+    assert fi_homology.invariants(fresh) == first
+    assert fi_homology.homology_table(M, 2) == fi_homology.homology_table(fresh, 2)
+    assert (fi_homology.presentation_profiles(M)
+            == fi_homology.presentation_profiles(fresh))
+
+
+def test_invariants_releases_shifted_windows(monkeypatch):
+    made = []
+    single_shift = fi_homology._shift_once
+
+    def recording(M):
+        S = single_shift(M)
+        made.append(weakref.ref(S))
+        return S
+
+    monkeypatch.setattr(fi_homology, "_shift_once", recording)
+    M = fi_core.random_presented(3, 6, 2, 3, 8)
+    # with the collector off, only reference counting can free them, so a
+    # reference cycle would keep them alive too
+    gc.disable()
+    try:
+        fi_homology.invariants(M)
+        alive = [r for r in made if r() is not None]
+    finally:
+        gc.enable()
+    assert len(made) >= 2
+    assert alive == []
 
 
 def test_torsion_module_invariants():
