@@ -109,45 +109,60 @@ def _cyclic_table(q: int) -> np.ndarray:
     return (a[:, None] + a[None, :]) % q
 
 
-def _bar_column(tup: tuple[int, ...], table: np.ndarray,
-                order: int) -> dict[int, int]:
-    """Boundary of one bar chain (g_1, ..., g_j) with trivial
-    coefficients, as a sparse column indexed base `order`."""
-    j = len(tup)
-    col: dict[int, int] = {}
+def _bar_columns(table: np.ndarray, j: int, action: list | None = None,
+                 nb: int = 1):
+    """Bar boundaries from degree j >= 1 of the cells (g_1, ..., g_j) x c,
+    c < nb, as sparse integer columns in cell order: tuple encoded base
+    |G|, then c.
 
-    def add(t: tuple[int, ...], sgn: int):
-        idx = 0
-        for g in t:
-            idx = idx * order + g
-        col[idx] = col.get(idx, 0) + sgn
-
-    add(tup[1:], 1)
-    for i in range(1, j):
-        merged = tup[:i - 1] + (int(table[tup[i - 1], tup[i]]),) + tup[i + 1:]
-        add(merged, -1 if i % 2 else 1)
-    add(tup[:-1], -1 if j % 2 else 1)
-    return col
+    Coefficients are trivial when `action` is None; otherwise they form
+    the signed permutation module with action[g] = (images, signs) on the
+    nb coefficient cells, and the last face carries g_j acting on c.
+    """
+    order = len(table)
+    tab = table.tolist()
+    pw = [order ** e for e in range(j + 1)]
+    last = -1 if j % 2 else 1
+    for n, tup in enumerate(itertools.product(range(order), repeat=j)):
+        # n is the code of tup; the faces that keep c are cut from its
+        # digits once, for all coefficients
+        codes = [(n % pw[j - 1] * nb, 1)]
+        for i in range(1, j):
+            idx = ((n // pw[j - i + 1] * order + tab[tup[i - 1]][tup[i]])
+                   * pw[j - i - 1] + n % pw[j - i - 1])
+            codes.append((idx * nb, -1 if i % 2 else 1))
+        rest = n // order * nb
+        if action is not None:
+            img, sgn = action[tup[-1]]
+        for c in range(nb):
+            col: dict[int, int] = {}
+            for idx, s in codes:
+                col[idx + c] = col.get(idx + c, 0) + s
+            if action is None:
+                idx, s = rest + c, last
+            else:
+                idx, s = rest + img[c], last * sgn[c]
+            col[idx] = col.get(idx, 0) + s
+            yield col
 
 
 def _bar_rank(table: np.ndarray, j: int, p: int) -> int:
     """Rank over F_p of the bar boundary from degree j to j - 1."""
     if j <= 0:
         return 0
-    order = table.shape[0]
-    nrows = order ** (j - 1)
-    cols = []
-    for tup in itertools.product(range(order), repeat=j):
-        col = _bar_column(tup, table, order)
-        col = {r: v % p for r, v in col.items() if v % p}
-        cols.append(col)
-    return exactlin.sparse_rank_modp(cols, nrows, p)
+    cols = [{r: v % p for r, v in col.items() if v % p}
+            for col in _bar_columns(table, j)]
+    return exactlin.sparse_rank_modp(cols, table.shape[0] ** (j - 1), p)
 
 
 def _bar_cap(p: int) -> int:
     # odd-prime columns reduce as python dicts, far slower than the
     # GF(2) int-bitset reduction, so they get a smaller direct-bar budget
     return BAR_CAP if p == 2 else BAR_CAP_ODD
+
+
+def _block_cap(p: int) -> int:
+    return EQ_BLOCK_CAP_GF2 if p == 2 else EQ_BLOCK_CAP_ODD
 
 
 def bar_homology_from_table(table: np.ndarray, k: int, p: int) -> int:
@@ -307,6 +322,68 @@ def hk_fi_module(k: int, p: int, N: int) -> fi_core.FIModuleWindow:
 
 
 # ---------------------------------------------------------------------------
+# total complexes of bar double complexes
+# ---------------------------------------------------------------------------
+
+
+def _total_dims(blocks, degrees, p: int) -> dict[int, int]:
+    """Dimension of the total complex in each degree, against the cap.
+
+    blocks(t) lists the (x, y, size) blocks with x + y = t, in the order
+    in which their cells are numbered.
+    """
+    cap = _block_cap(p)
+    dims = {}
+    for t in degrees:
+        dims[t] = sum(size for _, _, size in blocks(t))
+        if dims[t] > cap:
+            raise FeasibilityError(
+                f"total complex dimension {dims[t]} in degree {t} exceeds "
+                f"the cap {cap}")
+    return dims
+
+
+def _total_rank(blocks, horizontal, vertical, t: int, p: int) -> int:
+    """Rank over F_p of the total differential d_h + (-1)^x d_v from
+    degree t to t - 1.
+
+    horizontal(x, y) and vertical(x, y) yield, cell by cell, the
+    block-local columns of the maps into blocks (x - 1, y) and (x, y - 1);
+    each is called only when that block exists.
+    """
+    offsets, nrows = {}, 0
+    for x, y, size in blocks(t - 1):
+        offsets[x, y] = nrows
+        nrows += size
+    cols = []
+    for x, y, _ in blocks(t):
+        parts = []
+        if (x - 1, y) in offsets:
+            parts.append((horizontal(x, y), offsets[x - 1, y], 1))
+        if (x, y - 1) in offsets:
+            parts.append((vertical(x, y), offsets[x, y - 1],
+                          -1 if x % 2 else 1))
+        for pieces in zip(*(gen for gen, _, _ in parts)):
+            col = {}
+            for piece, (_, off, sign) in zip(pieces, parts):
+                for r, v in piece.items():
+                    v = sign * v % p
+                    if v:
+                        col[off + r] = v
+            cols.append(col)
+    return exactlin.sparse_rank_modp(cols, nrows, p)
+
+
+def _tensor_identity(count: int, cols: list[dict[int, int]], stride: int):
+    """Columns of id x d on `count` copies of d's source, copy-major; copy
+    i of a column is shifted by i * stride rows."""
+    for i in range(count):
+        off = i * stride
+        for col in cols:
+            yield {off + r: v for r, v in col.items()}
+
+
+# ---------------------------------------------------------------------------
 # equivariant homology of a simplicial action
 # ---------------------------------------------------------------------------
 
@@ -332,164 +409,89 @@ class EquivariantInput:
             if img != maximal:
                 errors.append(f"element {g} does not preserve the complex")
                 break
-        rng = np.random.default_rng(0)
-        for _ in range(min(order * order, 64)):
-            a, b = rng.integers(order, size=2)
-            lhs = self.vertex_action[self.table[a, b]]
-            rhs = self.vertex_action[a][self.vertex_action[b]]
-            if not (lhs == rhs).all():
+        # every pair (a, b), one first element at a time
+        act = self.vertex_action
+        for a in range(order):
+            if not (act[self.table[a]] == act[a][act]).all():
                 errors.append("vertex action is not a homomorphism")
                 break
         return errors
 
 
 def _face_action(faces: list[tuple[int, ...]], vmap: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 ) -> tuple[list[int], list[int]]:
     """Images and orientation signs of the faces under one vertex map."""
     index = {f: i for i, f in enumerate(faces)}
-    img = np.zeros(len(faces), dtype=np.int64)
-    sgn = np.zeros(len(faces), dtype=np.int64)
-    for i, f in enumerate(faces):
+    img, sgn = [], []
+    for f in faces:
         mapped = [int(vmap[v]) for v in f]
         order = sorted(range(len(mapped)), key=lambda t: mapped[t])
-        img[i] = index[tuple(mapped[t] for t in order)]
+        img.append(index[tuple(mapped[t] for t in order)])
         inversions = sum(1 for a in range(len(order))
                          for b in range(a + 1, len(order))
                          if order[a] > order[b])
-        sgn[i] = -1 if inversions % 2 else 1
+        sgn.append(-1 if inversions % 2 else 1)
     return img, sgn
 
 
-def equivariant_homology(E: EquivariantInput, k_max: int,
-                         depth: int | None = None,
-                         _slack_check: bool = True) -> dict[int, int]:
+def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
     """Reduced equivariant homology dims for degrees -1 .. k_max.
 
     Defined as homology of the total complex of (truncated bar
     resolution) tensor (augmented simplicial chains) over the group; the
-    augmentation lives in chain degree -1.  The default resolution depth
-    carries one degree of slack, and the truncated and slack answers are
-    compared; a mismatch raises.
+    augmentation lives in chain degree -1.  The resolution runs to depth
+    k_max + 2, one degree of slack: truncating it at k_max + 1 changes
+    only the boundary out of degree k_max + 1, which loses the block
+    (k_max + 2, -1).  That boundary's rank is computed both ways, and a
+    mismatch raises.
     """
     errors = E.validate()
     if errors:
         raise ValueError("; ".join(errors))
     p = E.p
     exactlin._check_p(p)
-    if depth is None:
-        depth = k_max + 2
-    if depth < k_max + 1:
-        raise ValueError("resolution depth below the truncation minimum")
     order = E.table.shape[0]
     X = E.complex
     top = X.dimension()
     faces = {b: X.faces(b) for b in range(-1, top + 1)}
-    # group action on each face list, and the inverse permutation of G
+    cdims = {b: len(faces[b]) for b in range(-1, top + 1)}
+    # group action on each face list
     facts = {b: [_face_action(faces[b], E.vertex_action[g])
                  for g in range(order)] for b in range(0, top + 1)}
-    cdims = {b: len(faces[b]) for b in range(-1, top + 1)}
-    # simplicial boundary of each face as a sparse column
-    bdry: dict[int, list[dict[int, int]]] = {}
+    # simplicial boundary of each face as a sparse column; vertices
+    # bound the augmentation cell ()
+    bdry = {}
     for b in range(0, top + 1):
-        cols = []
-        if b == 0:
-            cols = [{0: 1} for _ in faces[0]]
-        else:
-            index = {f: i for i, f in enumerate(faces[b - 1])}
-            for f in faces[b]:
-                col = {}
-                for j in range(b + 1):
-                    col[index[f[:j] + f[j + 1:]]] = 1 if j % 2 == 0 else -1
-                cols.append(col)
-        bdry[b] = cols
+        index = {f: i for i, f in enumerate(faces[b - 1])}
+        bdry[b] = [{index[f[:j] + f[j + 1:]]: -1 if j % 2 else 1
+                    for j in range(b + 1)} for f in faces[b]]
 
     def blocks(t: int) -> list[tuple[int, int, int]]:
-        # (a, b, offset) with a + b = t
-        out, off = [], 0
-        for a in range(0, depth + 1):
-            b = t - a
-            if -1 <= b <= top:
-                out.append((a, b, off))
-                off += order ** a * cdims[b]
-        return out
+        # x = bar degree a, y = simplicial degree b
+        return [(a, t - a, order ** a * cdims[t - a])
+                for a in range(t + 2) if t - a <= top]
 
-    def total_dim(t: int) -> int:
-        return sum(order ** a * cdims[b] for a, b, _ in blocks(t))
+    def bar(a: int, b: int):
+        return _bar_columns(E.table, a, facts.get(b), cdims[b])
 
-    for t in range(-1, k_max + 2):
-        cap = EQ_BLOCK_CAP_GF2 if p == 2 else EQ_BLOCK_CAP_ODD
-        if total_dim(t) > cap:
-            raise FeasibilityError(
-                f"total complex dimension {total_dim(t)} in degree {t} "
-                f"exceeds the cap {cap}")
+    def simplicial(a: int, b: int):
+        return _tensor_identity(order ** a, bdry[b], cdims[b - 1])
 
-    def boundary_columns(t: int) -> tuple[list[dict[int, int]], int]:
-        """Sparse columns of the total differential degree t -> t-1."""
-        src, dst = blocks(t), blocks(t - 1)
-        dst_off = {(a, b): off for a, b, off in dst}
-        cols: list[dict[int, int]] = []
-        for a, b, _ in src:
-            nb = cdims[b]
-            for tup in itertools.product(range(order), repeat=a):
-                for c in range(nb):
-                    col: dict[int, int] = {}
-                    # horizontal bar part: lands in (a-1, b)
-                    if a >= 1 and (a - 1, b) in dst_off:
-                        base = dst_off[(a - 1, b)]
-                        terms: dict[int, int] = {}
+    dims = _total_dims(blocks, range(-1, k_max + 2), p)
+    ranks = {t: _total_rank(blocks, bar, simplicial, t, p)
+             for t in range(-1, k_max + 2)}
 
-                        def put(t2: tuple[int, ...], face: int, sgn: int):
-                            idx = 0
-                            for g in t2:
-                                idx = idx * order + g
-                            idx = idx * nb + face
-                            terms[idx] = terms.get(idx, 0) + sgn
+    def lean(t: int) -> list[tuple[int, int, int]]:
+        return [blk for blk in blocks(t) if blk[0] <= k_max + 1]
 
-                        put(tup[1:], c, 1)
-                        for i in range(1, a):
-                            merged = tup[:i - 1] + (
-                                int(E.table[tup[i - 1], tup[i]]),) + tup[i + 1:]
-                            put(merged, c, -1 if i % 2 else 1)
-                        if b >= 0:
-                            img, sg = facts[b][tup[-1]]
-                            put(tup[:-1], int(img[c]),
-                                (-1 if a % 2 else 1) * int(sg[c]))
-                        else:
-                            put(tup[:-1], c, -1 if a % 2 else 1)
-                        for idx, v in terms.items():
-                            if v % p:
-                                col[base + idx] = (col.get(base + idx, 0) + v) % p
-                    # vertical simplicial part: lands in (a, b-1), sign (-1)^a
-                    if b >= 0 and (a, b - 1) in dst_off:
-                        base = dst_off[(a, b - 1)]
-                        pre = 0
-                        for g in tup:
-                            pre = pre * order + g
-                        s = -1 if a % 2 else 1
-                        for r, v in bdry[b][c].items():
-                            idx = base + pre * cdims[b - 1] + r
-                            col[idx] = (col.get(idx, 0) + s * v) % p
-                    cols.append({r: v for r, v in col.items() if v})
-        return cols, total_dim(t - 1)
-
-    rank_cache: dict[int, int] = {}
-
-    def rank_at(t: int) -> int:
-        if t not in rank_cache:
-            cols, nrows = boundary_columns(t)
-            rank_cache[t] = exactlin.sparse_rank_modp(cols, nrows, p)
-        return rank_cache[t]
-
-    out = {}
-    for t in range(-1, k_max + 1):
-        out[t] = total_dim(t) - rank_at(t) - rank_at(t + 1)
-    if _slack_check and depth >= k_max + 2:
-        lean = equivariant_homology(E, k_max, depth=k_max + 1,
-                                    _slack_check=False)
-        if lean != out:
-            raise InternalConsistencyError(
-                f"resolution truncation is unstable: {lean} vs {out}")
-    return out
+    full = ranks[k_max + 1]
+    lean_rank = _total_rank(lean, bar, simplicial, k_max + 1, p)
+    if lean_rank != full:
+        raise InternalConsistencyError(
+            f"resolution truncation is unstable: the degree-{k_max + 1} "
+            f"boundary has rank {lean_rank} at depth {k_max + 1} and {full} "
+            f"at depth {k_max + 2}")
+    return {t: dims[t] - ranks[t] - ranks[t + 1] for t in range(-1, k_max + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -498,38 +500,40 @@ def equivariant_homology(E: EquivariantInput, k_max: int,
 
 
 class BasedFIModule:
-    """An FI-module window whose every structure matrix is a signed basis
+    """An FI-module window whose every structure matrix is a basis
     permutation or inclusion, stored as index maps.  Used for the bar
     chain FI-modules, whose levels are far too large for dense matrices.
     """
 
-    def __init__(self, N: int, dims: list[int],
-                 trans: list[list[np.ndarray]], incl: list[np.ndarray | None]):
-        self.N = N
+    def __init__(self, dims: list[int], trans: list[list[np.ndarray]],
+                 incl: list[np.ndarray | None]):
         self.dims = dims
         self.trans = trans   # trans[n][i]: image indices of s_i at level n
         self.incl = incl     # incl[n]: image indices of level n-1 in level n
-
-    def perm_indices(self, n: int, sigma: list[int]) -> np.ndarray:
-        """Index map of an arbitrary permutation at level n."""
-        out = np.arange(self.dims[n], dtype=np.int64)
-        for i in fi_core.adjacent_factorization(sigma):
-            out = self.trans[n][i][out]
-        return out
+        self._ins: dict[int, list[np.ndarray]] = {}
 
     def insertion_indices(self, m: int, t: int) -> np.ndarray:
-        """Index map of the order embedding [m] -> [m+1] missing slot t."""
-        sigma = fi_core.insertion_permutation(m, t)
-        return self.perm_indices(m + 1, sigma)[self.incl[m + 1]]
+        """Index map of the order embedding [m] -> [m+1] missing slot t.
+
+        All m+1 maps of level m are built together, by
+        insertion_permutation(m, t) = s_t o insertion_permutation(m, t+1),
+        starting from the standard inclusion at t = m.
+        """
+        maps = self._ins.get(m)
+        if maps is None:
+            maps = [self.incl[m + 1]]
+            for s in range(m - 1, -1, -1):
+                maps.append(self.trans[m + 1][s][maps[-1]])
+            maps.reverse()
+            self._ins[m] = maps
+        return maps[t]
 
 
-def bar_fi_modules(m: int, q: int, N: int, jmax: int) -> list[BasedFIModule]:
-    """The bar chain groups of the congruence kernels as based
-    FI-modules B_j, j = 0 .. jmax; symmetric groups act by conjugation
-    through permutation matrices, inclusions come from the group corner
-    inclusions."""
-    groups = [splitbases.congruence_group(m, q, n) for n in range(N + 1)]
-    out = []
+def bar_fi_modules(groups: list, jmax: int) -> list[BasedFIModule]:
+    """The bar chain groups of a tower of congruence kernels, groups[n]
+    at level n, as based FI-modules B_j, j = 0 .. jmax; symmetric groups
+    act by conjugation through permutation matrices, inclusions come from
+    the group corner inclusions."""
     orders = [G.order for G in groups]
     # per level: index maps of s_i and of the corner inclusion on GROUP
     # elements, then extended diagonally to bar tuples
@@ -538,62 +542,33 @@ def bar_fi_modules(m: int, q: int, N: int, jmax: int) -> list[BasedFIModule]:
     for n, G in enumerate(groups):
         maps = []
         for i in range(n - 1):
-            P = _transposition_matrix(n, i)
-            conj = P @ G.mats @ P.T % m
-            maps.append(G.indices_of(conj))
+            sw = list(range(n))
+            sw[i], sw[i + 1] = i + 1, i
+            maps.append(G.indices_of(G.mats[:, sw][:, :, sw]))
         g_trans.append(maps)
         if n >= 1:
             prev = groups[n - 1]
             emb = np.broadcast_to(np.eye(n, dtype=np.int64),
                                   (prev.order, n, n)).copy()
             emb[:, :n - 1, :n - 1] = prev.mats
-            g_incl.append(G.indices_of(emb % m))
+            g_incl.append(G.indices_of(emb))
+    out = []
     for j in range(jmax + 1):
-        dims = [o ** j for o in orders]
-        trans, incl = [], [None]
-        for n in range(N + 1):
-            maps = [_diagonal_extension(g_trans[n][i], j, orders[n])
-                    for i in range(n - 1)]
-            trans.append(maps)
-            if n >= 1:
-                incl.append(_diagonal_extension(g_incl[n], j, orders[n],
-                                                src_order=orders[n - 1]))
-        out.append(BasedFIModule(N, dims, trans, incl))
+        trans = [[_diagonal_extension(g, j, o) for g in maps]
+                 for maps, o in zip(g_trans, orders)]
+        incl = [None] + [_diagonal_extension(g, j, o)
+                         for g, o in zip(g_incl[1:], orders[1:])]
+        out.append(BasedFIModule([o ** j for o in orders], trans, incl))
     return out
 
 
-def _transposition_matrix(n: int, i: int) -> np.ndarray:
-    P = np.eye(n, dtype=np.int64)
-    P[[i, i + 1]] = P[[i + 1, i]]
-    return P
-
-
-def _diagonal_extension(gmap: np.ndarray, j: int, order: int,
-                        src_order: int | None = None) -> np.ndarray:
-    """Extend an index map on group elements to j-tuples, base `order`
-    encoding (source encoded base `src_order` when it differs)."""
-    so = order if src_order is None else src_order
-    if j == 0:
-        return np.zeros(1, dtype=np.int64)
-    out = np.zeros(so ** j, dtype=np.int64)
-    for tup in itertools.product(range(so), repeat=j):
-        src = 0
-        for g in tup:
-            src = src * so + g
-        dst = 0
-        for g in tup:
-            dst = dst * order + int(gmap[g])
-        out[src] = dst
+def _diagonal_extension(gmap: np.ndarray, j: int, order: int) -> np.ndarray:
+    """Extend an index map on group elements to j-tuples, tuples encoded
+    base len(gmap) in the source and base `order` in the target."""
+    out = np.zeros(1, dtype=np.int64)
+    for _ in range(j):
+        out = (out[:, None] * order + gmap).ravel()
     return out
-
-
-def _bar_diff_columns(order: int, j: int, table: np.ndarray,
-                      p: int) -> list[dict[int, int]]:
-    cols = []
-    for tup in itertools.product(range(order), repeat=j):
-        col = _bar_column(tup, table, order)
-        cols.append({r: v % p for r, v in col.items() if v % p})
-    return cols
 
 
 def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
@@ -601,88 +576,42 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
     chain complex of the congruence kernels.
 
     Totalizes the subset-indexed Koszul construction over the bar
-    complexes, truncated one degree beyond what the answer needs; the
-    extra degree only enlarges matrices whose ranks are computed anyway.
+    complexes.  Degrees k - 1 .. k + 1 of the total complex reach bar
+    degree k + 1 at most, so B_0 .. B_{k+1} are built and nothing beyond.
     """
     exactlin._check_p(p)
-    jmax = k + 2
-    mods = bar_fi_modules(m, q, n, jmax)
-    groups_orders = [splitbases.congruence_group(m, q, t).order
-                     for t in range(n + 1)]
-    tables = {t: splitbases.congruence_group(m, q, t).multiplication_table()
-              for t in range(n + 1)}
-    cap = EQ_BLOCK_CAP_GF2 if p == 2 else EQ_BLOCK_CAP_ODD
+    groups = [splitbases.congruence_group(m, q, t) for t in range(n + 1)]
+    mods = bar_fi_modules(groups, k + 1)
+    tables = [G.multiplication_table() for G in groups]
+    subset_index = {R: i for r in range(n + 1)
+                    for i, R in enumerate(itertools.combinations(range(n), r))}
 
     def blocks(t: int) -> list[tuple[int, int, int]]:
-        # (j, r, offset) with j + r = t, r counts removed points
-        out, off = [], 0
-        for j in range(0, min(t, jmax) + 1):
-            r = t - j
-            if 0 <= r <= n:
-                out.append((j, r, off))
-                off += math.comb(n, r) * mods[j].dims[n - r]
-        return out
+        # x = number of removed points r, y = bar degree j
+        return [(t - j, j, math.comb(n, t - j) * mods[j].dims[n - t + j])
+                for j in range(t + 1) if t - j <= n]
 
-    def total_dim(t: int) -> int:
-        return sum(math.comb(n, r) * mods[j].dims[n - r]
-                   for j, r, _ in blocks(t))
+    def koszul(r: int, j: int):
+        # remove the i-th smallest element of R: insertion map of the
+        # complement, sign (-1)^i
+        lev, mod = n - r, mods[j]
+        ins = [mod.insertion_indices(lev, s).tolist() for s in range(lev + 1)]
+        stride = mod.dims[lev + 1]
+        for R in itertools.combinations(range(n), r):
+            faces = [(subset_index[R[:i] + R[i + 1:]] * stride, ins[e - i],
+                      -1 if i % 2 else 1) for i, e in enumerate(R)]
+            for c in range(mod.dims[lev]):
+                yield {off + img[c]: s for off, img, s in faces}
 
-    for t in range(max(0, k - 1), k + 2):
-        if total_dim(t) > cap:
-            raise FeasibilityError(
-                f"hyper chain dimension {total_dim(t)} exceeds the cap")
+    def bar(r: int, j: int):
+        lev = n - r
+        return _tensor_identity(math.comb(n, r),
+                                list(_bar_columns(tables[lev], j)),
+                                mods[j - 1].dims[lev])
 
-    subsets = {r: list(itertools.combinations(range(n), r))
-               for r in range(n + 1)}
-    subset_index = {r: {R: i for i, R in enumerate(subs)}
-                    for r, subs in subsets.items()}
-
-    def boundary_columns(t: int) -> tuple[list[dict[int, int]], int]:
-        src, dst = blocks(t), blocks(t - 1)
-        dst_off = {(j, r): off for j, r, off in dst}
-        cols: list[dict[int, int]] = []
-        for j, r, _ in src:
-            lev = n - r
-            dim = mods[j].dims[lev]
-            bar_cols = None
-            if j >= 1 and (j - 1, r) in dst_off:
-                bar_cols = _bar_diff_columns(groups_orders[lev], j,
-                                             tables[lev], p)
-            ins_maps = {}
-            if r >= 1 and (j, r - 1) in dst_off:
-                for t_ins in range(lev + 1):
-                    ins_maps[t_ins] = mods[j].insertion_indices(lev, t_ins)
-            for Ri, R in enumerate(subsets[r]):
-                for c in range(dim):
-                    col: dict[int, int] = {}
-                    # Koszul part: remove the jj-th smallest element of R
-                    if ins_maps:
-                        base_r = dst_off[(j, r - 1)]
-                        for jj, elem in enumerate(R):
-                            R2 = R[:jj] + R[jj + 1:]
-                            R2i = subset_index[r - 1][R2]
-                            tpos = elem - jj
-                            dst_c = int(ins_maps[tpos][c])
-                            idx = base_r + (R2i * mods[j].dims[lev + 1]
-                                            + dst_c)
-                            s = -1 if jj % 2 else 1
-                            col[idx] = (col.get(idx, 0) + s) % p
-                    # complex (bar) part, with the totalization sign (-1)^r
-                    if bar_cols is not None:
-                        base_b = dst_off[(j - 1, r)]
-                        s = -1 if r % 2 else 1
-                        d2 = mods[j - 1].dims[lev]
-                        for rr, v in bar_cols[c].items():
-                            idx = base_b + Ri * d2 + rr
-                            col[idx] = (col.get(idx, 0) + s * v) % p
-                    cols.append({a: v for a, v in col.items() if v})
-        return cols, total_dim(t - 1)
-
-    def rank_at(t: int) -> int:
-        cols, nrows = boundary_columns(t)
-        return exactlin.sparse_rank_modp(cols, nrows, p)
-
-    return total_dim(k) - rank_at(k) - rank_at(k + 1)
+    dims = _total_dims(blocks, range(max(0, k - 1), k + 2), p)
+    return (dims[k] - _total_rank(blocks, koszul, bar, k, p)
+            - _total_rank(blocks, koszul, bar, k + 1, p))
 
 
 # ---------------------------------------------------------------------------

@@ -517,8 +517,10 @@ def observed_torsion(M: FIModuleWindow) -> tuple[bool, int]:
 
     An element of level n counts as torsion when it dies under the
     composite structure map to the top of the window; the second entry is
-    -1 when no level has any.
+    -1 when no level has any.  The answer is kept in M's cache.
     """
+    if "torsion" in M.cache:
+        return M.cache["torsion"]
     p = M.p
     h0 = -1
     all_torsion = True
@@ -531,6 +533,7 @@ def observed_torsion(M: FIModuleWindow) -> tuple[bool, int]:
             h0 = n
         if nul < M.dims[n]:
             all_torsion = False
+    M.cache["torsion"] = (all_torsion, h0)
     return all_torsion, h0
 
 

@@ -178,11 +178,44 @@ def test_equivariant_rejects_broken_action():
         cg.equivariant_homology(cg.EquivariantInput(tab, X, act, 2), 1)
 
 
+def test_validate_checks_every_pair():
+    # Z/9 rotating a 9-cycle; a table wrong at any single one of the 81
+    # pairs must be caught
+    X = sb.SimplicialComplex(list(range(9)),
+                             {frozenset([v, (v + 1) % 9]) for v in range(9)})
+    tab = cg._cyclic_table(9)
+    act = cg._cyclic_table(9)  # act[g, v] = g + v
+    assert cg.EquivariantInput(tab, X, act, 3).validate() == []
+    for a, b in itertools.product(range(9), repeat=2):
+        bad = tab.copy()
+        bad[a, b] = (bad[a, b] + 1) % 9
+        errors = cg.EquivariantInput(bad, X, act, 3).validate()
+        assert errors == ["vertex action is not a homomorphism"], (a, b)
+
+
+# hyper FI-homology -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("m,q,N,jmax", [(4, 2, 3, 1), (9, 3, 2, 2)])
+def test_insertion_indices_match_permutation_route(m, q, N, jmax):
+    groups = [sb.congruence_group(m, q, n) for n in range(N + 1)]
+    for B in cg.bar_fi_modules(groups, jmax):
+        for lev in range(N):
+            for t in range(lev + 1):
+                sigma = fi_core.insertion_permutation(lev, t)
+                ref = np.arange(B.dims[lev + 1])
+                for i in fi_core.adjacent_factorization(sigma):
+                    ref = B.trans[lev + 1][i][ref]
+                assert (B.insertion_indices(lev, t)
+                        == ref[B.incl[lev + 1]]).all()
+
+
 # the cross-check and the application ----------------------------------------
 
 
 @pytest.mark.parametrize("p,n,k,val", [
     (2, 0, 0, 1), (2, 1, 1, 1), (3, 0, 0, 1), (3, 1, 1, 1),
+    (2, 1, 2, 1), (3, 1, 2, 1),
 ])
 def test_theoremC_hand_values(p, n, k, val):
     out = cg.theoremC_check(p, 2, n, k)
