@@ -24,8 +24,6 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="FILE", help="write the report here")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for randomized commands")
-    sub.add_argument("--max-cells", type=int, default=None,
-                     help="override the face-count guard")
 
 
 def _emit(args, report: dict, code: int) -> int:
@@ -439,8 +437,6 @@ def _add_verify_parser(p: argparse.ArgumentParser) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_cells", None):
-        splitbases.FACE_CAP = args.max_cells
     try:
         return args.fn(args)
     except FeasibilityError as exc:

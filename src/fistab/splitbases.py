@@ -6,16 +6,21 @@ extending to a full split basis, and the coset complex of a tower of
 groups; for congruence kernels the two are isomorphic and that
 isomorphism is checked explicitly.
 
+Every split-basis complex is built by one orbit builder, `spb_orbit`:
+the orbit of the standard split basis under a congruence kernel, which
+at the unit ideal is all of GL_n(Z/m).  Every chain complex on these
+complexes takes its boundary from `boundary_columns`.
+
 Everything is enumerated exactly and guarded: group orders are capped at
-2^26 and face counts at 2^24.
+2^26, face counts at 2^24, and the dense integral boundary matrices at
+2^24 cells.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
-from functools import lru_cache
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +57,6 @@ class FiniteModRing:
         # quotients of the integers have dimension zero in the stable
         # range sense used by the acyclicity bound
         return 0
-
-    def units(self) -> list[int]:
-        import math
-        return [u for u in range(self.m) if math.gcd(u, self.m) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +128,6 @@ class CongruenceGroup:
                  + q * grids.astype(np.int64)) % m
         cands = cands.reshape(-1, n, n)
         dets = _batch_det(cands) % m
-        import math
         unit = np.array([math.gcd(int(d), m) == 1 for d in dets])
         self.mats = cands[unit]
         self._finish()
@@ -164,10 +164,6 @@ class CongruenceGroup:
         if (idx >= self.order).any() or (self.codes[idx] != codes).any():
             raise KeyError("some matrix not in the group")
         return idx
-
-    def mul(self, i: int, j: int) -> int:
-        m = self.ring.m
-        return self.index_of(self.mats[i] @ self.mats[j] % m)
 
     def inverses(self) -> np.ndarray:
         """Index array: inverses()[i] is the index of the inverse."""
@@ -287,8 +283,40 @@ class SimplicialComplex:
         return SimplicialComplex(verts, maximal)
 
 
-def _vertex_tuple(v: np.ndarray, g: np.ndarray) -> tuple:
-    return (tuple(int(x) for x in v), tuple(int(x) for x in g))
+def _labelled_complex(simplices, shape: tuple[int, int], name: str
+                      ) -> tuple[SimplicialComplex, np.ndarray]:
+    """The complex whose maximal simplices are the given label lists, its
+    vertices numbered by first appearance; ids[s, i] is the vertex of the
+    i-th label of simplex s."""
+    index: dict = {}
+    maximal: set[frozenset] = set()
+    ids = np.empty(shape, dtype=np.int64)
+    for s, labels in enumerate(simplices):
+        row = [index.setdefault(lab, len(index)) for lab in labels]
+        ids[s] = row
+        maximal.add(frozenset(row))
+    return SimplicialComplex(list(index), maximal, name=name), ids
+
+
+def spb_orbit(G: CongruenceGroup) -> tuple[SimplicialComplex, np.ndarray]:
+    """Orbit of the standard split basis under G, and the vertex table
+    vid: vid[h, i] is the vertex h . x_i = (column i of h, row i of h^-1),
+    so that g . vid[h, i] = vid[gh, i]."""
+    n = G.n
+    if G.order * max(n, 1) > FACE_CAP:
+        raise FeasibilityError("too many maximal simplices")
+    cols = G.mats.transpose(0, 2, 1)  # cols[h][i] = i-th column of h
+    rows = G.inverse_mats()            # rows[h][i] = i-th row of h^{-1}
+
+    def simplices():
+        # one element at a time: the labels of the whole stack at once
+        # would double the peak memory of the largest complexes
+        for h in range(G.order):
+            c, r = cols[h].tolist(), rows[h].tolist()
+            yield [(tuple(c[i]), tuple(r[i])) for i in range(n)]
+
+    return _labelled_complex(simplices(), (G.order, n),
+                             f"SPB_{n}(Z/{G.ring.m},{G.ring.q})")
 
 
 def spb_complex(m: int, q: int, n: int, variant: str = "spb_modI"
@@ -300,42 +328,24 @@ def spb_complex(m: int, q: int, n: int, variant: str = "spb_modI"
     the vectors.  The `*_modI` variants restrict to pairs congruent to a
     standard basis vector and coordinate functional mod q, and the `spb`
     variants keep only simplices extending to a full split basis of
-    rank n.
+    rank n.  The `spb` and `su` variants ignore q: they are the same
+    complexes at the unit ideal, whose kernel is all of GL_n(Z/m).
     """
     ring = FiniteModRing(m, q)
     if variant == "spb_modI":
-        return _spb_modI(ring, n)
+        return spb_orbit(CongruenceGroup(ring, n))[0]
     if variant == "su_modI":
-        return _su_modI(ring, n)
+        return _clique_complex(_unimodular_pairs_modI(ring, n), m,
+                               f"SU_{n}(Z/{m},{q})")
     if variant in ("spb", "su"):
-        return _full_variant(ring, n, variant)
+        if m ** (n * n) > 1 << 22:
+            raise FeasibilityError("full linear group too large to enumerate")
+        X = spb_orbit(CongruenceGroup(FiniteModRing(m, 1), n))[0]
+        if variant == "su":
+            return _clique_complex(X.vertices, m, f"SU_{n}(Z/{m})")
+        X.name = f"SPB_{n}(Z/{m})"
+        return X
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def _spb_modI(ring: FiniteModRing, n: int) -> SimplicialComplex:
-    """Orbit of the standard split basis under the congruence kernel."""
-    m = ring.m
-    G = CongruenceGroup(ring, n)
-    if G.order * max(n, 1) > FACE_CAP:
-        raise FeasibilityError("too many maximal simplices")
-    inv = G.inverse_mats()
-    vert_index: dict[tuple, int] = {}
-    vertices: list[tuple] = []
-    maximal: set[frozenset] = set()
-    cols = G.mats.transpose(0, 2, 1)  # cols[g][i] = i-th column of g
-    rows = inv                         # rows[g][i] = i-th row of g^{-1}
-    for gi in range(G.order):
-        simplex = []
-        for i in range(n):
-            lab = _vertex_tuple(cols[gi, i], rows[gi, i])
-            vid = vert_index.get(lab)
-            if vid is None:
-                vid = len(vertices)
-                vert_index[lab] = vid
-                vertices.append(lab)
-            simplex.append(vid)
-        maximal.add(frozenset(simplex))
-    return SimplicialComplex(vertices, maximal, name=f"SPB_{n}(Z/{m},{ring.q})")
 
 
 def _unimodular_pairs_modI(ring: FiniteModRing, n: int) -> list[tuple]:
@@ -350,7 +360,7 @@ def _unimodular_pairs_modI(ring: FiniteModRing, n: int) -> list[tuple]:
             for h in itertools.product(range(r), repeat=n):
                 g = (e + q * np.array(h, dtype=np.int64)) % m
                 if int(g @ v) % m == 1:
-                    out.append(_vertex_tuple(v, g))
+                    out.append((tuple(v.tolist()), tuple(g.tolist())))
         if len(out) > FACE_CAP:
             raise FeasibilityError("too many vertices")
     return out
@@ -362,10 +372,9 @@ def _compatible(a: tuple, b: tuple, m: int) -> bool:
     return int(ga @ vb) % m == 0 and int(gb @ va) % m == 0
 
 
-def _su_modI(ring: FiniteModRing, n: int) -> SimplicialComplex:
+def _clique_complex(vertices: list[tuple], m: int, name: str
+                    ) -> SimplicialComplex:
     """All pairwise-dual collections: the clique complex of compatibility."""
-    m = ring.m
-    vertices = _unimodular_pairs_modI(ring, n)
     k = len(vertices)
     adj = [set() for _ in range(k)]
     for a in range(k):
@@ -373,8 +382,7 @@ def _su_modI(ring: FiniteModRing, n: int) -> SimplicialComplex:
             if _compatible(vertices[a], vertices[b], m):
                 adj[a].add(b)
                 adj[b].add(a)
-    maximal = _maximal_cliques(adj)
-    return SimplicialComplex(vertices, maximal, name=f"SU_{n}(Z/{m},{ring.q})")
+    return SimplicialComplex(vertices, _maximal_cliques(adj), name=name)
 
 
 def _maximal_cliques(adj: list[set]) -> set[frozenset]:
@@ -397,47 +405,6 @@ def _maximal_cliques(adj: list[set]) -> set[frozenset]:
     return out
 
 
-def _full_variant(ring: FiniteModRing, n: int, variant: str) -> SimplicialComplex:
-    """Ideal equal to the whole ring: all unimodular split pairs."""
-    m = ring.m
-    count = m ** (n * n)
-    if count > 1 << 22:
-        raise FeasibilityError("full linear group too large to enumerate")
-    grids = np.indices((m,) * (n * n)).reshape(n * n, -1).T.astype(np.int64)
-    mats = grids.reshape(-1, n, n)
-    dets = _batch_det(mats) % m
-    import math
-    unit = np.array([math.gcd(int(d), m) == 1 for d in dets])
-    gl = mats[unit]
-    vert_index: dict[tuple, int] = {}
-    vertices: list[tuple] = []
-    maximal: set[frozenset] = set()
-    for g in gl:
-        ginv = _matinv_mod(g, m)
-        simplex = []
-        for i in range(n):
-            lab = _vertex_tuple(g[:, i], ginv[i])
-            vid = vert_index.get(lab)
-            if vid is None:
-                vid = len(vertices)
-                vert_index[lab] = vid
-                vertices.append(lab)
-            simplex.append(vid)
-        maximal.add(frozenset(simplex))
-    if variant == "spb":
-        return SimplicialComplex(vertices, maximal, name=f"SPB_{n}(Z/{m})")
-    # clique complex on the same vertex set
-    k = len(vertices)
-    adj = [set() for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            if _compatible(vertices[a], vertices[b], m):
-                adj[a].add(b)
-                adj[b].add(a)
-    return SimplicialComplex(vertices, _maximal_cliques(adj),
-                             name=f"SU_{n}(Z/{m})")
-
-
 # ---------------------------------------------------------------------------
 # coset complexes
 # ---------------------------------------------------------------------------
@@ -452,7 +419,7 @@ def coset_complex(G: CongruenceGroup | TrivialGroupTower,
         return SimplicialComplex(vertices, {frozenset(range(n))},
                                  name="coset(trivial)")
     m = G.ring.m
-    coset_of: list[np.ndarray] = []
+    coset_of = np.empty((G.order, n), dtype=np.int64)
     for t in range(n):
         S = tuple(x for x in range(n) if x != t)
         H = G.corner_indices(S)
@@ -462,23 +429,10 @@ def coset_complex(G: CongruenceGroup | TrivialGroupTower,
             prod = G.mats @ G.mats[h] % m
             idx = G.indices_of(prod)
             np.minimum(best, idx, out=best)
-        coset_of.append(best)
-    vert_index: dict[tuple, int] = {}
-    vertices: list[tuple] = []
-    maximal: set[frozenset] = set()
-    for gi in range(G.order):
-        simplex = []
-        for t in range(n):
-            lab = (t, int(coset_of[t][gi]))
-            vid = vert_index.get(lab)
-            if vid is None:
-                vid = len(vertices)
-                vert_index[lab] = vid
-                vertices.append(lab)
-            simplex.append(vid)
-        maximal.add(frozenset(simplex))
-    return SimplicialComplex(vertices, maximal,
-                             name=f"coset(GL_{n}(Z/{m},{G.ring.q}))")
+        coset_of[:, t] = best
+    simplices = (list(enumerate(row.tolist())) for row in coset_of)
+    return _labelled_complex(simplices, coset_of.shape,
+                             f"coset(GL_{n}(Z/{m},{G.ring.q}))")[0]
 
 
 def y_gamma_complex(G: CongruenceGroup | TrivialGroupTower, n: int
@@ -514,18 +468,11 @@ def coset_spb_isomorphism(m: int, q: int, n: int) -> dict:
         raise ValueError("the comparison needs a proper nonzero ideal")
     G = congruence_group(m, q, n)
     Y = coset_complex(G, n)
-    X = _spb_modI(G.ring, n)
-    inv = G.inverse_mats()
-    cols = G.mats.transpose(0, 2, 1)
-    x_index = {lab: i for i, lab in enumerate(X.vertices)}
-    # build the map on vertices: representative gamma = the stored minimal
-    # coset element
-    vmap: dict[int, int] = {}
-    for vid, (t, rep) in enumerate(Y.vertices):
-        lab = _vertex_tuple(cols[rep, t], inv[rep, t])
-        vmap[vid] = x_index[lab]
-    injective = len(set(vmap.values())) == len(vmap)
-    surjective = len(set(vmap.values())) == len(X.vertices)
+    X, vid = spb_orbit(G)
+    # representative gamma = the stored minimal coset element
+    vmap = [int(vid[rep, t]) for t, rep in Y.vertices]
+    injective = len(set(vmap)) == len(vmap)
+    surjective = len(set(vmap)) == len(X.vertices)
     y_simp = {frozenset(vmap[v] for v in mx) for mx in Y.maximal}
     return {
         "vertex_bijection": injective and surjective,
@@ -557,20 +504,15 @@ def _components(nverts: int, edges: list[tuple[int, ...]]) -> int:
     return len({find(x) for x in range(nverts)})
 
 
-def _boundary_rank(faces_k: list[tuple[int, ...]],
-                   faces_km1: list[tuple[int, ...]], p: int) -> int:
-    """Rank over F_p of the boundary from dimension k to k-1."""
-    if not faces_k or not faces_km1:
-        return 0
+def boundary_columns(faces_k: list[tuple[int, ...]],
+                     faces_km1: list[tuple[int, ...]]):
+    """The simplicial boundary of each face in `faces_k`, as a sparse
+    column of +-1 over `faces_km1`; vertices bound the augmentation cell
+    ()."""
     index = {f: i for i, f in enumerate(faces_km1)}
-    k1 = len(faces_k[0])
-    columns = []
     for f in faces_k:
-        col: dict[int, int] = {}
-        for j in range(k1):
-            col[index[f[:j] + f[j + 1:]]] = 1 if j % 2 == 0 else p - 1
-        columns.append(col)
-    return exactlin.sparse_rank_modp(columns, len(faces_km1), p)
+        yield {index[f[:j] + f[j + 1:]]: -1 if j % 2 else 1
+               for j in range(len(f))}
 
 
 def reduced_betti(X: SimplicialComplex, p: int,
@@ -601,7 +543,8 @@ def reduced_betti(X: SimplicialComplex, p: int,
         elif k == 1:
             r = nv - _components(nv, get_faces(1))
         else:
-            r = _boundary_rank(get_faces(k), get_faces(k - 1), p)
+            cols = list(boundary_columns(get_faces(k), get_faces(k - 1)))
+            r = exactlin.sparse_rank_modp(cols, len(get_faces(k - 1)), p)
         rank_cache[k] = r
         return r
 
@@ -616,20 +559,25 @@ def reduced_betti(X: SimplicialComplex, p: int,
 
 def integral_reduced_homology(X: SimplicialComplex,
                               ks: list[int]) -> dict[int, tuple[int, tuple]]:
-    """(free rank, torsion invariant factors) over the integers."""
+    """(free rank, torsion invariant factors) over the integers.
+
+    The boundaries are dense integer matrices, so each is guarded: one
+    with more than FACE_CAP cells raises FeasibilityError.
+    """
     out = {}
     faces: dict[int, list] = {k: X.faces(k) for k in
                               range(-1, X.dimension() + 2)}
 
     def bmatrix(k: int) -> np.ndarray:
         fk, fk1 = faces.get(k, []), faces.get(k - 1, [])
-        if k == 0:
-            return np.ones((1, len(fk)), dtype=np.int64)
+        if len(fk1) * len(fk) > FACE_CAP:
+            raise FeasibilityError(
+                f"boundary matrix {len(fk1)} x {len(fk)} in dimension {k} "
+                f"exceeds the cap {FACE_CAP}")
         D = np.zeros((len(fk1), len(fk)), dtype=np.int64)
-        index = {f: i for i, f in enumerate(fk1)}
-        for c, f in enumerate(fk):
-            for j in range(len(f)):
-                D[index[f[:j] + f[j + 1:]], c] = 1 if j % 2 == 0 else -1
+        for c, col in enumerate(boundary_columns(fk, fk1)):
+            for r, v in col.items():
+                D[r, c] = v
         return D
 
     for k in ks:

@@ -51,6 +51,14 @@ def test_threads_flag_rejected(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_max_cells_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spb", "build", "--m", "4", "--q", "2", "--n", "2",
+                  "--max-cells", "10"])
+    assert exc.value.code == 2
+    assert "--max-cells" in capsys.readouterr().err
+
+
 def test_construct_validate_invariants_pipeline(tmp_path, capsys):
     f = tmp_path / "m.json"
     code, _, _ = run(capsys, "fimod", "construct", "--kind",

@@ -215,7 +215,7 @@ def test_insertion_indices_match_permutation_route(m, q, N, jmax):
 
 @pytest.mark.parametrize("p,n,k,val", [
     (2, 0, 0, 1), (2, 1, 1, 1), (3, 0, 0, 1), (3, 1, 1, 1),
-    (2, 1, 2, 1), (3, 1, 2, 1),
+    (2, 1, 2, 1), (3, 1, 2, 1), (2, 0, 1, 0), (3, 0, 1, 0), (2, 0, 2, 0),
 ])
 def test_theoremC_hand_values(p, n, k, val):
     out = cg.theoremC_check(p, 2, n, k)

@@ -181,6 +181,74 @@ def test_full_ring_variant_closes_under_permutation():
     assert X.f_vector()[0] == len(X.vertices)
 
 
+def brute_gl2(m):
+    """GL_2(Z/m) by brute force, each element with its adjugate inverse."""
+    out = []
+    for a, b, c, d in itertools.product(range(m), repeat=4):
+        det = (a * d - b * c) % m
+        if math.gcd(det, m) == 1:
+            u = pow(det, -1, m)
+            out.append((((a, b), (c, d)),
+                        ((u * d % m, -u * b % m), (-u * c % m, u * a % m))))
+    return out
+
+
+def reference_cliques(verts, adjacent):
+    """Maximal cliques, grown one vertex at a time from every vertex."""
+    out, layer = set(), {frozenset([v]) for v in verts}
+    while layer:
+        nxt = set()
+        for c in layer:
+            ext = [w for w in verts
+                   if w not in c and all(adjacent(w, u) for u in c)]
+            if not ext:
+                out.add(c)
+            nxt |= {c | {w} for w in ext}
+        layer = nxt
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_full_variants_match_reference(m):
+    spb = set()
+    for g, ginv in brute_gl2(m):
+        spb.add(frozenset(((g[0][i], g[1][i]), ginv[i]) for i in range(2)))
+    verts = set().union(*spb)
+
+    def adjacent(a, b):
+        return (sum(x * y for x, y in zip(a[1], b[0])) % m == 0
+                and sum(x * y for x, y in zip(b[1], a[0])) % m == 0)
+
+    su = reference_cliques(verts, adjacent)
+    for variant, want in (("spb", spb), ("su", su)):
+        X = sb.spb_complex(m, 1, 2, variant)
+        assert set(X.vertices) == verts
+        assert {frozenset(X.vertices[v] for v in mx)
+                for mx in X.maximal} == want
+
+
+@pytest.mark.parametrize("m,q,n", [(4, 2, 2), (4, 2, 3), (9, 3, 2)])
+def test_spb_orbit_vertex_action(m, q, n):
+    G = sb.congruence_group(m, q, n)
+    X, vid = sb.spb_orbit(G)
+    inv = G.inverse_mats()
+    ident = np.eye(n, dtype=np.int64)
+    assert (G.mats @ inv % m == ident).all()
+    for h in range(G.order):
+        for i in range(n):
+            assert X.vertices[vid[h, i]] == (tuple(G.mats[h][:, i].tolist()),
+                                             tuple(inv[h][i].tolist()))
+    index = {lab: j for j, lab in enumerate(X.vertices)}
+    V = np.array([v for v, _ in X.vertices])
+    F = np.array([f for _, f in X.vertices])
+    table = G.multiplication_table()
+    for g in range(G.order):
+        moved = np.array([index[(tuple(v), tuple(f))] for v, f in
+                          zip((V @ G.mats[g].T % m).tolist(),
+                              (F @ inv[g] % m).tolist())])
+        assert (vid[table[g]] == moved[vid]).all()
+
+
 # coset complexes ----------------------------------------------------------------
 
 
@@ -248,6 +316,13 @@ def rp2():
             (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
     return sb.SimplicialComplex(
         list(range(1, 7)), {frozenset(t - 1 for t in tri) for tri in tris})
+
+
+def test_integral_dense_boundary_guard(monkeypatch):
+    # rp2: d_1 has 6 x 15 = 90 cells, d_2 has 15 x 10 = 150
+    monkeypatch.setattr(sb, "FACE_CAP", 100)
+    with pytest.raises(sb.FeasibilityError):
+        sb.integral_reduced_homology(rp2(), [0, 1])
 
 
 def test_homology_projective_plane_torsion():
