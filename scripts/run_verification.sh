@@ -1,7 +1,12 @@
 #!/bin/sh
-# Full verification battery through the CLI. Exits nonzero on the first
-# failing verdict.
+# Full verification battery through the CLI, run from this checkout
+# (python3 -m fistab.cli with the repo's src first on PYTHONPATH). Exits
+# nonzero on the first failing verdict.
 set -e
+
+PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
+fistab() { python3 -m fistab.cli "$@"; }
 
 fistab verify theoremD --p 2 --ell 2 --k 1
 fistab verify theoremD --p 3 --ell 2 --k 1

@@ -2,7 +2,8 @@
 
 Subcommand trees mirror the library modules one-to-one so verification
 runs are scriptable.  Exit codes: 0 success/verified, 1 violation or
-failed nonvanishing check, 2 usage or input error, 3 feasibility guard.
+failed nonvanishing check, 2 usage or input error, 3 feasibility guard,
+4 internal inconsistency (two routes that must agree did not).
 """
 
 from __future__ import annotations
@@ -442,6 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     except FeasibilityError as exc:
         print(f"feasibility guard: {exc}", file=sys.stderr)
         return 3
+    except fi_homology.InternalConsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 4
     except (UsageError, FileNotFoundError, json.JSONDecodeError,
             ValueError, KeyError, fi_core.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exactlin, fi_core, fi_homology, splitbases
 from .fi_homology import InternalConsistencyError
-from .splitbases import FeasibilityError, FiniteModRing, SimplicialComplex
+from .splitbases import FeasibilityError, SimplicialComplex
 
 BAR_CAP = 1 << 20
 BAR_CAP_ODD = 1 << 16
@@ -343,46 +343,6 @@ def _total_dims(blocks, degrees, p: int) -> dict[int, int]:
     return dims
 
 
-def _total_rank(blocks, horizontal, vertical, t: int, p: int) -> int:
-    """Rank over F_p of the total differential d_h + (-1)^x d_v from
-    degree t to t - 1.
-
-    horizontal(x, y) and vertical(x, y) yield, cell by cell, the
-    block-local columns of the maps into blocks (x - 1, y) and (x, y - 1);
-    each is called only when that block exists.
-    """
-    offsets, nrows = {}, 0
-    for x, y, size in blocks(t - 1):
-        offsets[x, y] = nrows
-        nrows += size
-    cols = []
-    for x, y, _ in blocks(t):
-        parts = []
-        if (x - 1, y) in offsets:
-            parts.append((horizontal(x, y), offsets[x - 1, y], 1))
-        if (x, y - 1) in offsets:
-            parts.append((vertical(x, y), offsets[x, y - 1],
-                          -1 if x % 2 else 1))
-        for pieces in zip(*(gen for gen, _, _ in parts)):
-            col = {}
-            for piece, (_, off, sign) in zip(pieces, parts):
-                for r, v in piece.items():
-                    v = sign * v % p
-                    if v:
-                        col[off + r] = v
-            cols.append(col)
-    return exactlin.sparse_rank_modp(cols, nrows, p)
-
-
-def _tensor_identity(count: int, cols: list[dict[int, int]], stride: int):
-    """Columns of id x d on `count` copies of d's source, copy-major; copy
-    i of a column is shifted by i * stride rows."""
-    for i in range(count):
-        off = i * stride
-        for col in cols:
-            yield {off + r: v for r, v in col.items()}
-
-
 # ---------------------------------------------------------------------------
 # equivariant homology of a simplicial action
 # ---------------------------------------------------------------------------
@@ -473,10 +433,10 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
         return _bar_columns(E.table, a, facts.get(b), cdims[b])
 
     def simplicial(a: int, b: int):
-        return _tensor_identity(order ** a, bdry[b], cdims[b - 1])
+        return fi_homology.tensor_identity(order ** a, bdry[b], cdims[b - 1])
 
     dims = _total_dims(blocks, range(-1, k_max + 2), p)
-    ranks = {t: _total_rank(blocks, bar, simplicial, t, p)
+    ranks = {t: fi_homology.total_rank(blocks, bar, simplicial, t, p)
              for t in range(-1, k_max + 2)}
 
     def lean(t: int) -> list[tuple[int, int, int]]:
@@ -484,7 +444,7 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
 
     if top >= 0:
         full = ranks[k_max + 1]
-        lean_rank = _total_rank(lean, bar, simplicial, k_max + 1, p)
+        lean_rank = fi_homology.total_rank(lean, bar, simplicial, k_max + 1, p)
         if lean_rank != full:
             raise InternalConsistencyError(
                 f"resolution truncation is unstable: the degree-{k_max + 1} "
@@ -582,8 +542,6 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
     groups = [splitbases.congruence_group(m, q, t) for t in range(n + 1)]
     mods = bar_fi_modules(groups, k + 1)
     tables = [G.multiplication_table() for G in groups]
-    subset_index = {R: i for r in range(n + 1)
-                    for i, R in enumerate(itertools.combinations(range(n), r))}
 
     def blocks(t: int) -> list[tuple[int, int, int]]:
         # x = number of removed points r, y = bar degree j
@@ -591,26 +549,20 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
                 for j in range(t + 1) if t - j <= n]
 
     def koszul(r: int, j: int):
-        # remove the i-th smallest element of R: insertion map of the
-        # complement, sign (-1)^i
         lev, mod = n - r, mods[j]
-        ins = [mod.insertion_indices(lev, s).tolist() for s in range(lev + 1)]
-        stride = mod.dims[lev + 1]
-        for R in itertools.combinations(range(n), r):
-            faces = [(subset_index[R[:i] + R[i + 1:]] * stride, ins[e - i],
-                      -1 if i % 2 else 1) for i, e in enumerate(R)]
-            for c in range(mod.dims[lev]):
-                yield {off + img[c]: s for off, img, s in faces}
+        ins = [[{i: 1} for i in mod.insertion_indices(lev, s).tolist()]
+               for s in range(lev + 1)]
+        return fi_homology.koszul_columns(ins, n, r, mod.dims[lev + 1])
 
     def bar(r: int, j: int):
         lev = n - r
-        return _tensor_identity(math.comb(n, r),
-                                list(_bar_columns(tables[lev], j)),
-                                mods[j - 1].dims[lev])
+        return fi_homology.tensor_identity(math.comb(n, r),
+                                           list(_bar_columns(tables[lev], j)),
+                                           mods[j - 1].dims[lev])
 
     dims = _total_dims(blocks, range(max(0, k - 1), k + 2), p)
-    return (dims[k] - _total_rank(blocks, koszul, bar, k, p)
-            - _total_rank(blocks, koszul, bar, k + 1, p))
+    return (dims[k] - fi_homology.total_rank(blocks, koszul, bar, k, p)
+            - fi_homology.total_rank(blocks, koszul, bar, k + 1, p))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ Python-int bitsets.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _PMAX = 2**31
@@ -135,8 +137,28 @@ def colspace_complement_projection(A, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# sparse left-to-right column reduction
+# sparse columns: conversion and left-to-right column reduction
 # ---------------------------------------------------------------------------
+
+
+def dense_to_columns(A) -> list[dict[int, int]]:
+    """The columns of a dense matrix as row -> value dicts, zeros left out."""
+    At = np.asarray(A).T
+    cols: list[dict[int, int]] = [{} for _ in range(At.shape[0])]
+    ci, ri = np.nonzero(At)
+    for c, r, v in zip(ci.tolist(), ri.tolist(), At[ci, ri].tolist()):
+        cols[c][r] = v
+    return cols
+
+
+def columns_to_dense(columns: list, nrows: int, p: int) -> np.ndarray:
+    """The nrows x len(columns) matrix mod p of row -> value dicts."""
+    D = np.zeros((nrows, len(columns)), dtype=np.int64)
+    rows = [r for col in columns for r in col]
+    vals = [v for col in columns for v in col.values()]
+    where = np.repeat(np.arange(len(columns)), [len(col) for col in columns])
+    D[rows, where] = np.asarray(vals, dtype=np.int64) % p
+    return D
 
 
 def sparse_rank_modp(columns: list, nrows: int, p: int) -> int:
@@ -340,7 +362,6 @@ def smith_normal_form(A) -> tuple[int, ...]:
         for a in range(len(diags)):
             for b in range(a + 1, len(diags)):
                 if diags[b] % diags[a]:
-                    import math
                     g = math.gcd(diags[a], diags[b])
                     lcm = diags[a] * diags[b] // g
                     diags[a], diags[b] = g, lcm

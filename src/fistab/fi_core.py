@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 

@@ -1,5 +1,13 @@
 """Homology functors, stability invariants and polynomial fitting.
 
+`koszul_columns` is the one generator of the subset-indexed Koszul
+boundary, as sparse columns; `koszul_rank` ranks them with
+`exactlin.sparse_rank_modp`, and `koszul_boundary` is their dense view.
+`total_columns` and `total_rank` totalize a double complex given by its
+blocks and two column generators, with sign (-1)^x on the vertical map.
+They serve the hyper homology of complexes of windows here and both bar
+double complexes in `congruence`.
+
 Two routes to generation and relation degrees are kept side by side:
 
 * the subset-indexed Koszul-style complex (`koszul_boundary`,
@@ -42,54 +50,55 @@ class FitError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def koszul_boundary(M: FIModuleWindow, n: int, k: int) -> np.ndarray:
-    """Boundary C_k -> C_{k-1} of the evaluation-n complex.
+def koszul_columns(ins: list, n: int, k: int, stride: int):
+    """Sparse columns of the boundary C_k -> C_{k-1} at evaluation n.
 
-    C_k is one copy of level n-k per k-subset R of [n]; moving the j-th
-    smallest element r out of R applies the insertion map of the
-    complement and carries sign (-1)^j.
+    C_k is one copy of level n-k per k-subset R of [n]; cells are ordered
+    by R, then by basis vector c.  Moving the j-th smallest element r out
+    of R applies the insertion map missing r - j (its rank within the
+    complement) and carries sign (-1)^j.  ins[t][c] is column c of the
+    level-(n-k) insertion map missing t, as a row -> value dict; stride
+    is the dimension of level n-k+1.
     """
-    p = M.p
-    if k < 1 or k > n:
-        rows = 0
-        if 1 <= k <= n + 1:
-            rows = comb(n, k - 1) * M.dims[n - k + 1]
-        return np.zeros((rows, 0), dtype=np.int64)
+    tgt_index = {R: i for i, R in
+                 enumerate(itertools.combinations(range(n), k - 1))}
+    for R in itertools.combinations(range(n), k):
+        faces = [(tgt_index[R[:j] + R[j + 1:]] * stride, ins[r - j],
+                  -1 if j % 2 else 1) for j, r in enumerate(R)]
+        for c in range(len(ins[0])):
+            yield {off + i: s * v
+                   for off, blk, s in faces for i, v in blk[c].items()}
+
+
+def _window_columns(M: FIModuleWindow, n: int, k: int):
+    """koszul_columns of the window M, 1 <= k <= n."""
     m = n - k
-    src_subsets = list(itertools.combinations(range(n), k))
-    tgt_subsets = list(itertools.combinations(range(n), k - 1))
-    tgt_index = {R: i for i, R in enumerate(tgt_subsets)}
-    ds, dt = M.dims[m], M.dims[m + 1]
-    D = np.zeros((len(tgt_subsets) * dt, len(src_subsets) * ds), dtype=np.int64)
-    if ds == 0 or dt == 0:
-        return D
-    ins = [M.insertion_map(m, t) for t in range(m + 1)]
-    for c, R in enumerate(src_subsets):
-        for j, r in enumerate(R):
-            Rp = R[:j] + R[j + 1:]
-            t = r - j  # rank of r within the complement of Rp
-            blk = ins[t] if j % 2 == 0 else (-ins[t]) % p
-            i0 = tgt_index[Rp] * dt
-            D[i0:i0 + dt, c * ds:c * ds + ds] = (
-                D[i0:i0 + dt, c * ds:c * ds + ds] + blk) % p
-    return D
+    ins = [exactlin.dense_to_columns(M.insertion_map(m, t))
+           for t in range(m + 1)]
+    return koszul_columns(ins, n, k, M.dims[m + 1])
+
+
+def koszul_boundary(M: FIModuleWindow, n: int, k: int) -> np.ndarray:
+    """Boundary C_k -> C_{k-1} of the evaluation-n complex, dense mod p."""
+    rows = comb(n, k - 1) * M.dims[n - k + 1] if 1 <= k <= n + 1 else 0
+    cols = list(_window_columns(M, n, k)) if 1 <= k <= n else []
+    return exactlin.columns_to_dense(cols, rows, M.p)
 
 
 def koszul_dims(M: FIModuleWindow, n: int) -> list[int]:
     return [comb(n, k) * M.dims[n - k] for k in range(n + 1)]
 
 
-def koszul_rank(M: FIModuleWindow, n: int, k: int,
-                D: np.ndarray | None = None) -> int:
+def koszul_rank(M: FIModuleWindow, n: int, k: int) -> int:
     """Rank of the boundary C_k -> C_{k-1} at evaluation n, computed once
-    per window.  D, when given, is that boundary, already assembled."""
+    per window."""
     if k < 1 or k > n:
         return 0
     key = ("rank", n, k)
     if key not in M.cache:
-        if D is None:
-            D = koszul_boundary(M, n, k)
-        M.cache[key] = exactlin.rank_modp(D, M.p)
+        M.cache[key] = exactlin.sparse_rank_modp(
+            list(_window_columns(M, n, k)),
+            comb(n, k - 1) * M.dims[n - k + 1], M.p)
     return M.cache[key]
 
 
@@ -161,17 +170,16 @@ def presentation_profiles(M: FIModuleWindow) -> tuple[list[int], list[int]]:
     h1 = [0] * (M.N + 1)
     h0[0] = M.dims[0]
     for n in range(1, M.N + 1):
-        mu = koszul_boundary(M, n, 1)
-        r_mu = koszul_rank(M, n, 1, mu)
+        r_mu = koszul_rank(M, n, 1)
         h0[n] = M.dims[n] - r_mu
+        h1[n] = n * M.dims[n - 1] - r_mu
         if n == 1:
-            h1[n] = mu.shape[1] - r_mu
             continue
         rel = presentation_relation_map(M, n)
-        if ((mu @ rel) % p).any():
+        if ((koszul_boundary(M, n, 1) @ rel) % p).any():
             raise InternalConsistencyError(
                 f"level {n}: relation map does not land in the kernel")
-        h1[n] = (mu.shape[1] - r_mu) - exactlin.rank_modp(rel, p)
+        h1[n] -= exactlin.rank_modp(rel, p)
     return h0, h1
 
 
@@ -341,55 +349,81 @@ def shift_complex(C: FIComplexWindow, a: int = 1) -> FIComplexWindow:
     return FIComplexWindow(C.p, C.N - a, C.jmin, C.jmax, mods, diffs)
 
 
+def tensor_identity(count: int, cols: list[dict[int, int]], stride: int):
+    """Columns of id x d on `count` copies of d's source, copy-major; copy
+    i of a column is shifted by i * stride rows."""
+    for i in range(count):
+        off = i * stride
+        for col in cols:
+            yield {off + r: v for r, v in col.items()}
+
+
+def total_columns(blocks, horizontal, vertical, t: int,
+                  p: int) -> tuple[list[dict[int, int]], int]:
+    """Columns mod p, and the row count, of the total differential
+    d_h + (-1)^x d_v of a double complex from degree t to t - 1.
+
+    blocks(t) lists the (x, y, size) blocks with x + y = t, in the order
+    in which their cells are numbered.  horizontal(x, y) and vertical(x, y)
+    yield, cell by cell, the block-local columns of the maps into blocks
+    (x - 1, y) and (x, y - 1); each is called only when that block exists.
+    """
+    offsets, nrows = {}, 0
+    for x, y, size in blocks(t - 1):
+        offsets[x, y] = nrows
+        nrows += size
+    cols = []
+    for x, y, size in blocks(t):
+        parts = []
+        if (x - 1, y) in offsets:
+            parts.append((horizontal(x, y), offsets[x - 1, y], 1))
+        if (x, y - 1) in offsets:
+            parts.append((vertical(x, y), offsets[x, y - 1],
+                          -1 if x % 2 else 1))
+        gens = [gen for gen, _, _ in parts]
+        for pieces in zip(*gens) if gens else itertools.repeat((), size):
+            col = {}
+            for piece, (_, off, sign) in zip(pieces, parts):
+                for r, v in piece.items():
+                    v = sign * v % p
+                    if v:
+                        col[off + r] = v
+            cols.append(col)
+    return cols, nrows
+
+
+def total_rank(blocks, horizontal, vertical, t: int, p: int) -> int:
+    """Rank over F_p of the total differential from degree t to t - 1."""
+    return exactlin.sparse_rank_modp(
+        *total_columns(blocks, horizontal, vertical, t, p), p)
+
+
+def _hyper_double(C: FIComplexWindow, n: int):
+    """(blocks, horizontal, vertical) of the evaluation-n double complex:
+    x = Koszul degree r, y = complex degree j."""
+    def blocks(t: int) -> list[tuple[int, int, int]]:
+        return [(t - j, j, comb(n, t - j) * C.module(j).dims[n - t + j])
+                for j in range(C.jmin, C.jmax + 1) if 0 <= t - j <= n]
+
+    def koszul(r: int, j: int):
+        return _window_columns(C.module(j), n, r)
+
+    def differential(r: int, j: int):
+        return tensor_identity(
+            comb(n, r), exactlin.dense_to_columns(C.diffs[j][n - r]),
+            C.module(j - 1).dims[n - r])
+
+    return blocks, koszul, differential
+
+
 def hyper_boundary(C: FIComplexWindow, n: int, m: int) -> np.ndarray:
-    """Total boundary T_m -> T_{m-1} at evaluation n.
+    """Total boundary T_m -> T_{m-1} at evaluation n, dense mod p.
 
     T_m stacks the Koszul degree r piece of the degree-j module over all
-    j + r = m; the complex differential carries sign (-1)^r.
+    j + r = m, ordered by j; the complex differential carries sign (-1)^r.
     """
-    p = C.p
-
-    def layers(total: int) -> list[tuple[int, int]]:
-        out = []
-        for j in range(C.jmin, C.jmax + 1):
-            r = total - j
-            if 0 <= r <= n:
-                out.append((j, r))
-        return out
-
-    src, tgt = layers(m), layers(m - 1)
-
-    def block_dim(j: int, r: int) -> int:
-        return comb(n, r) * C.module(j).dims[n - r]
-
-    src_off, off = {}, 0
-    for jr in src:
-        src_off[jr] = off
-        off += block_dim(*jr)
-    ncols = off
-    tgt_off, off = {}, 0
-    for jr in tgt:
-        tgt_off[jr] = off
-        off += block_dim(*jr)
-    nrows = off
-    D = np.zeros((nrows, ncols), dtype=np.int64)
-    for (j, r) in src:
-        c0 = src_off[(j, r)]
-        w = block_dim(j, r)
-        if w == 0:
-            continue
-        if r >= 1 and (j, r - 1) in tgt_off:
-            K = koszul_boundary(C.module(j), n, r)
-            i0 = tgt_off[(j, r - 1)]
-            D[i0:i0 + K.shape[0], c0:c0 + w] = K
-        if j > C.jmin and (j - 1, r) in tgt_off:
-            d = C.diffs[j][n - r]
-            blk = np.kron(np.eye(comb(n, r), dtype=np.int64), d) % p
-            if r % 2 == 1:
-                blk = (-blk) % p
-            i0 = tgt_off[(j - 1, r)]
-            D[i0:i0 + blk.shape[0], c0:c0 + w] = blk
-    return D
+    cols, nrows = total_columns(*_hyper_double(C, n), m, C.p)
+    return exactlin.columns_to_dense(cols, nrows, C.p)
 
 
 def hyper_homology_table(C: FIComplexWindow, k_max: int) -> dict[int, list[int]]:
@@ -397,20 +431,12 @@ def hyper_homology_table(C: FIComplexWindow, k_max: int) -> dict[int, list[int]]
     table: dict[int, list[int]] = {k: [0] * (C.N + 1)
                                    for k in range(C.jmin, k_max + 1)}
     for n in range(C.N + 1):
-        tdims = {}
-        for m in range(C.jmin, k_max + 2):
-            d = 0
-            for j in range(C.jmin, C.jmax + 1):
-                r = m - j
-                if 0 <= r <= n:
-                    d += comb(n, r) * C.module(j).dims[n - r]
-            tdims[m] = d
-        ranks = {}
-        for m in range(C.jmin + 1, k_max + 2):
-            ranks[m] = exactlin.rank_modp(hyper_boundary(C, n, m), C.p)
-        ranks[C.jmin] = 0
+        blocks, koszul, differential = _hyper_double(C, n)
+        ranks = {t: total_rank(blocks, koszul, differential, t, C.p)
+                 for t in range(C.jmin, k_max + 2)}
         for k in range(C.jmin, k_max + 1):
-            table[k][n] = tdims[k] - ranks[k] - ranks.get(k + 1, 0)
+            dim = sum(size for _, _, size in blocks(k))
+            table[k][n] = dim - ranks[k] - ranks[k + 1]
     return table
 
 

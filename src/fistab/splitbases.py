@@ -68,6 +68,8 @@ def _batch_det(mats: np.ndarray) -> np.ndarray:
     """Exact integer determinants of a (K, n, n) stack, by cofactor
     expansion (intended for n <= 5)."""
     n = mats.shape[1]
+    if n == 0:
+        return np.ones(mats.shape[0], dtype=np.int64)
     if n == 1:
         return mats[:, 0, 0].copy()
     if n == 2:
@@ -82,20 +84,21 @@ def _batch_det(mats: np.ndarray) -> np.ndarray:
     return total
 
 
-def _matinv_mod(mat: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of one integer matrix mod m via the adjugate."""
-    n = mat.shape[0]
-    det = int(_batch_det(mat[None])[0]) % m
-    dinv = pow(det, -1, m)
-    adj = np.zeros((n, n), dtype=np.int64)
+def _batch_inv_mod(mats: np.ndarray, m: int) -> np.ndarray:
+    """Inverses mod m of a (K, n, n) stack of matrices invertible mod m,
+    via the adjugate: one determinant stack per minor, times a table of
+    the inverses of the determinants that occur."""
+    n = mats.shape[1]
+    dets, where = np.unique(_batch_det(mats) % m, return_inverse=True)
+    dinv = np.array([pow(int(d), -1, m) for d in dets], dtype=np.int64)
+    adj = np.empty_like(mats)
     for i in range(n):
+        rows = [r for r in range(n) if r != i]
         for j in range(n):
-            rows = [r for r in range(n) if r != i]
             cols = [c for c in range(n) if c != j]
-            minor = mat[np.ix_(rows, cols)]
-            cof = int(_batch_det(minor[None])[0]) if n > 1 else 1
-            adj[j, i] = (-cof if (i + j) % 2 else cof) % m
-    return adj * dinv % m
+            cof = _batch_det(mats[:, rows][:, :, cols])
+            adj[:, j, i] = (-cof if (i + j) % 2 else cof) % m
+    return adj * dinv[where, None, None] % m
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,7 @@ class CongruenceGroup:
             inv_mats = (2 * np.eye(self.n, dtype=np.int64)[None]
                         - self.mats) % m
         else:
-            inv_mats = np.stack([_matinv_mod(g, m) for g in self.mats])
+            inv_mats = _batch_inv_mod(self.mats, m)
         self._inv_cache = self.indices_of(inv_mats)
         return self._inv_cache
 

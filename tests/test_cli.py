@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fistab import cli, fi_core
+from fistab import cli, congruence, fi_core, fi_homology
 
 
 def run(capsys, *argv):
@@ -152,6 +152,17 @@ def test_cong_group_and_theoremC(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["outputs"]["equal"] is True
+
+
+def test_internal_inconsistency_exit_code(capsys, monkeypatch):
+    def disagree(*args):
+        raise fi_homology.InternalConsistencyError("routes disagree")
+
+    monkeypatch.setattr(congruence, "theoremC_check", disagree)
+    code, _, err = run(capsys, "cong", "theoremC", "--p", "2", "--ell", "2",
+                       "--n", "1", "--k", "1")
+    assert code == 4
+    assert "internal inconsistency: routes disagree" in err
 
 
 def test_json_reports_deterministic(capsys):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fistab import fi_core, fi_homology
+from fistab import exactlin, fi_core, fi_homology
 
 primes = st.sampled_from([2, 3, 5])
 
@@ -293,3 +294,102 @@ def test_local_degree_of_induced():
     M = fi_core.induced_module(fi_core.fb_regular(3, 2), 7)
     res = fi_homology.local_degree(M, 2)
     assert res.hmax == -1 and res.certified
+
+
+# sparse Koszul columns and the totalizer against the dense assemblies ---------
+
+
+def oracle_koszul_boundary(M, n, k):
+    """Dense block assembly of C_k -> C_{k-1}: the face removing the j-th
+    smallest r of R is the insertion map missing r - j, sign (-1)^j."""
+    p = M.p
+    if k < 1 or k > n:
+        rows = math.comb(n, k - 1) * M.dims[n - k + 1] if k == n + 1 else 0
+        return np.zeros((rows, 0), dtype=np.int64)
+    m = n - k
+    src = list(itertools.combinations(range(n), k))
+    tgt = {R: i for i, R in enumerate(itertools.combinations(range(n), k - 1))}
+    ds, dt = M.dims[m], M.dims[m + 1]
+    D = np.zeros((len(tgt) * dt, len(src) * ds), dtype=np.int64)
+    for c, R in enumerate(src):
+        for j, r in enumerate(R):
+            i0 = tgt[R[:j] + R[j + 1:]] * dt
+            D[i0:i0 + dt, c * ds:(c + 1) * ds] = (
+                (-1) ** j * M.insertion_map(m, r - j) % p)
+    return D
+
+
+def oracle_hyper_boundary(C, n, m):
+    """Dense T_m -> T_{m-1}: blocks (j, r) ordered by j, the Koszul
+    boundary within a degree and id (x) d with sign (-1)^r across."""
+    p = C.p
+
+    def offsets(t):
+        out, off = {}, 0
+        for j in range(C.jmin, C.jmax + 1):
+            if 0 <= t - j <= n:
+                out[j, t - j] = off
+                off += math.comb(n, t - j) * C.module(j).dims[n - t + j]
+        return out, off
+
+    src, ncols = offsets(m)
+    tgt, nrows = offsets(m - 1)
+    D = np.zeros((nrows, ncols), dtype=np.int64)
+    for (j, r), c0 in src.items():
+        w = math.comb(n, r) * C.module(j).dims[n - r]
+        if (j, r - 1) in tgt:
+            K = oracle_koszul_boundary(C.module(j), n, r)
+            i0 = tgt[j, r - 1]
+            D[i0:i0 + K.shape[0], c0:c0 + w] = K
+        if (j - 1, r) in tgt:
+            blk = np.kron(np.eye(math.comb(n, r), dtype=np.int64),
+                          C.diffs[j][n - r]) * (-1) ** r % p
+            i0 = tgt[j - 1, r]
+            D[i0:i0 + blk.shape[0], c0:c0 + w] = blk
+    return D
+
+
+def random_window(kind, p, seed):
+    gen, rel = 1 + seed % 2, 2 + seed % 2
+    if kind == "kernel":
+        return fi_core.submodule_from_kernels(
+            fi_core.random_induced_map(p, 5, gen, rel, seed))
+    M = fi_core.random_presented(p, 5 + (kind != "presented"), gen, rel, seed)
+    if kind == "shifted":
+        return fi_core.shift(M)
+    if kind == "derivative":
+        return fi_core.derivative(M)
+    return M
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]),
+       st.sampled_from(["presented", "kernel", "shifted", "derivative"]),
+       st.integers(0, 500))
+def test_koszul_matches_dense_oracle(p, kind, seed):
+    M = random_window(kind, p, seed)
+    for n in range(M.N + 1):
+        for k in range(n + 2):
+            D = oracle_koszul_boundary(M, n, k)
+            assert np.array_equal(fi_homology.koszul_boundary(M, n, k), D)
+            assert fi_homology.koszul_rank(M, n, k) == exactlin.rank_modp(D, p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([2, 3]), st.booleans(), st.integers(0, 500))
+def test_hyper_matches_dense_oracle(p, shifted, seed):
+    f = fi_core.random_induced_map(p, 5, 1 + seed % 2, 2 + seed % 2, seed)
+    C = fi_homology.two_term_complex(f)
+    if shifted:
+        C = fi_homology.shift_complex(C)
+    k_max = 2
+    want = {k: [0] * (C.N + 1) for k in range(C.jmin, k_max + 1)}
+    for n in range(C.N + 1):
+        dims, ranks = {}, {}
+        for m in range(C.jmin, k_max + 2):
+            D = oracle_hyper_boundary(C, n, m)
+            assert np.array_equal(fi_homology.hyper_boundary(C, n, m), D)
+            dims[m], ranks[m] = D.shape[1], exactlin.rank_modp(D, p)
+        for k in range(C.jmin, k_max + 1):
+            want[k][n] = dims[k] - ranks[k] - ranks[k + 1]
+    assert fi_homology.hyper_homology_table(C, k_max) == want

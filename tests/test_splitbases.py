@@ -51,14 +51,16 @@ def test_group_order_and_bfs_closure(m, q, n, order):
     assert {tuple(g.ravel()) for g in G.mats} == bfs_group_oracle(m, q, n)
 
 
-def test_group_membership_and_inverses():
-    G = sb.congruence_group(8, 2, 2)
+@pytest.mark.parametrize("m,q,n", [(8, 2, 2), (3, 1, 3), (27, 3, 2)])
+def test_group_membership_and_inverses(m, q, n):
+    # every element; (3, 1, 3) is all of GL_3(Z/3), order 11232, and
+    # (27, 3, 2) has q^2 != 0 mod m, so both take the adjugate route
+    G = sb.congruence_group(m, q, n)
     inv = G.inverses()
-    for i in range(0, G.order, 17):
-        prod = G.mats[i] @ G.mats[inv[i]] % 8
-        assert (prod == np.eye(2, dtype=np.int64)).all()
+    prod = G.mats @ G.mats[inv] % m
+    assert (prod == np.eye(n, dtype=np.int64)).all()
     with pytest.raises(KeyError):
-        G.index_of(np.array([[0, 1], [1, 0]]))
+        G.index_of(np.zeros((n, n), dtype=np.int64))
 
 
 def test_group_guard():
@@ -75,15 +77,13 @@ def test_batch_det_matches_sympy():
             assert int(sympy.Matrix(M.tolist()).det()) == d
 
 
-def test_matinv_mod():
+def test_batch_inv_mod():
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        A = rng.integers(0, 9, size=(3, 3))
-        d = int(sb._batch_det(A[None])[0])
-        if math.gcd(d, 9) != 1:
-            continue
-        Ainv = sb._matinv_mod(A, 9)
-        assert (A @ Ainv % 9 == np.eye(3, dtype=np.int64)).all()
+    for n in (1, 2, 3):
+        A = rng.integers(0, 9, size=(60, n, n))
+        A = A[[math.gcd(int(d), 9) == 1 for d in sb._batch_det(A)]]
+        Ainv = sb._batch_inv_mod(A, 9)
+        assert (A @ Ainv % 9 == np.eye(n, dtype=np.int64)).all()
 
 
 # f-vectors vs the orbit-stabilizer oracle --------------------------------------
