@@ -1,7 +1,10 @@
 """Exact linear algebra over prime fields and over the integers.
 
-Everything here is exact: F_p arithmetic uses int64 numpy arrays reduced
-mod p (p < 2**31, so products fit in int64 headroom after reduction), the
+Everything here is exact.  F_p matrices are int64 numpy arrays reduced
+mod p (p < 2**31, so a product of two residues fits in int64).  Dense
+products go through `matmul_modp`: as float64 on BLAS while k * (p-1)**2
+< 2**53 for the inner dimension k, the range in which float64 sums the
+integer products exactly in any order, and in Python ints beyond it.  The
 integer Smith normal form uses arbitrary-precision Python ints.  The two
 heavy paths are a vectorized dense elimination mod p and one sparse
 column reduction for large boundary matrices, which over GF(2) runs on
@@ -35,6 +38,42 @@ def asmod(A, p: int) -> np.ndarray:
     if A.ndim != 2:
         raise ValueError("expected a 2d array")
     return A % p
+
+
+_FLOAT_EXACT = 2**53
+
+
+def _residues(A, p: int) -> np.ndarray:
+    """A as int64 with entries in [0, p), copied only if some entry is not.
+
+    Seen as uint64, a negative entry is at least 2**63, so one maximum
+    checks both ends of the range.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    if A.size and A.view(np.uint64).max() >= p:
+        A = A % p
+    return A
+
+
+def matmul_modp(A, B, p: int) -> np.ndarray:
+    """A @ B mod p as an int64 array, exact for every modulus p >= 2.
+
+    Both operands are reduced mod p.  While k * (p-1)**2 < 2**53 (k the
+    inner dimension) every partial sum is an integer below 2**53, so the
+    float64 BLAS product is exact whatever its summation order; beyond
+    that bound the operands are Python-int object arrays.
+    """
+    if p < 2:
+        raise ValueError(f"modulus {p} must be at least 2")
+    A, B = _residues(A, p), _residues(B, p)
+    if A.shape[-1] * (p - 1) ** 2 >= _FLOAT_EXACT:
+        return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
+    C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    # numpy divides by a scalar far faster than it takes a remainder
+    q = C // p
+    q *= p
+    C -= q
+    return C
 
 
 def rref_modp(A, p: int) -> tuple[np.ndarray, list[int]]:
@@ -80,15 +119,12 @@ def nullity_modp(A, p: int) -> int:
 
 def nullspace_modp(A, p: int) -> np.ndarray:
     """Columns form a basis of ker(A) over F_p."""
-    A = asmod(A, p)
-    m, n = A.shape
     R, pivots = rref_modp(A, p)
-    free = [c for c in range(n) if c not in set(pivots)]
-    K = np.zeros((n, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        K[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            K[pc, j] = (-int(R[i, fc])) % p
+    n = R.shape[1]
+    free = np.delete(np.arange(n), pivots)
+    K = np.zeros((n, free.size), dtype=np.int64)
+    K[free, np.arange(free.size)] = 1
+    K[pivots] = -R[:len(pivots), free] % p
     return K
 
 
@@ -105,8 +141,7 @@ def solve_modp(A, B, p: int) -> np.ndarray:
     if any(c >= n for c in pivots):
         raise ValueError("inconsistent linear system mod p")
     X = np.zeros((n, B.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        X[pc] = R[i, n:]
+    X[pivots] = R[:len(pivots), n:]
     return X
 
 
@@ -121,18 +156,14 @@ def colspace_complement_projection(A, p: int) -> tuple[np.ndarray, np.ndarray]:
     A = asmod(A, p)
     m = A.shape[0]
     R, pivots = rref_modp(A.T, p)  # rows of R span the column space of A
-    r = len(pivots)
-    free = [i for i in range(m) if i not in set(pivots)]
+    free = np.delete(np.arange(m), pivots)
     # in rref, reducing x against R clears exactly the pivot coordinates:
-    # x - sum_k x[pc_k] R[k], supported on the free coordinates afterwards
-    P = np.zeros((m, r), dtype=np.int64)
-    for k, pc in enumerate(pivots):
-        P[pc, k] = 1
-    Red = (np.eye(m, dtype=np.int64) - R[:r].T @ P.T) % p
-    proj = Red[free, :] % p
-    section = np.zeros((m, len(free)), dtype=np.int64)
-    for j, fr in enumerate(free):
-        section[fr, j] = 1
+    # x - sum_k x[pc_k] R[k]; its free coordinate f reads x[f] - sum_k
+    # x[pc_k] R[k, f]
+    proj = np.eye(m, dtype=np.int64)[free]
+    proj[:, pivots] = -R[:len(pivots), free].T % p
+    section = np.zeros((m, free.size), dtype=np.int64)
+    section[free, np.arange(free.size)] = 1
     return proj, section
 
 

@@ -68,7 +68,7 @@ def matrix_of_permutation(trans_mats: list[np.ndarray], sigma, p: int,
     """
     out = np.eye(dim, dtype=np.int64)
     for i in adjacent_factorization(tuple(sigma)):
-        out = trans_mats[i] @ out % p
+        out = exactlin.matmul_modp(trans_mats[i], out, p)
     return out
 
 
@@ -204,7 +204,8 @@ class FIModuleWindow:
         if maps is None:
             maps = [self.phi[m + 1] % self.p]
             for s in range(m - 1, -1, -1):
-                maps.append(self.act[m + 1][s] @ maps[-1] % self.p)
+                maps.append(exactlin.matmul_modp(self.act[m + 1][s], maps[-1],
+                                                 self.p))
             maps.reverse()
             for A in maps:
                 A.flags.writeable = False
@@ -215,7 +216,7 @@ class FIModuleWindow:
         """Structure map composite: level a -> level b along standard inclusions."""
         out = np.eye(self.dims[a], dtype=np.int64)
         for n in range(a + 1, b + 1):
-            out = self.phi[n] @ out % self.p
+            out = exactlin.matmul_modp(self.phi[n], out, self.p)
         return out
 
 
@@ -223,6 +224,10 @@ def validate(M: FIModuleWindow) -> list[str]:
     """All consistency identities; returns a list of violation messages."""
     bad: list[str] = []
     p = M.p
+
+    def mul(A, B):
+        return exactlin.matmul_modp(A, B, p)
+
     if len(M.dims) != M.N + 1:
         return [f"dims has length {len(M.dims)}, expected N+1={M.N+1}"]
     for n in range(M.N + 1):
@@ -234,16 +239,17 @@ def validate(M: FIModuleWindow) -> list[str]:
             if A.shape != (d, d):
                 bad.append(f"level {n}: s_{i} matrix has shape {A.shape}, want {(d, d)}")
                 continue
-            if not ((A @ A) % p == np.eye(d, dtype=np.int64)).all():
+            if not (mul(A, A) == np.eye(d, dtype=np.int64)).all():
                 bad.append(f"level {n}: involution fails for s_{i}")
         for i in range(n - 2):
             A, B = M.act[n][i], M.act[n][i + 1]
-            if not ((A @ B @ A) % p == (B @ A @ B) % p).all():
+            AB = mul(A, B)
+            if not (mul(AB, A) == mul(B, AB)).all():
                 bad.append(f"level {n}: braid relation fails at s_{i}, s_{i+1}")
         for i in range(n - 1):
             for j in range(i + 2, n - 1):
                 A, B = M.act[n][i], M.act[n][j]
-                if not ((A @ B) % p == (B @ A) % p).all():
+                if not (mul(A, B) == mul(B, A)).all():
                     bad.append(f"level {n}: s_{i} and s_{j} do not commute")
         if n >= 1:
             P = M.phi[n]
@@ -251,14 +257,11 @@ def validate(M: FIModuleWindow) -> list[str]:
                 bad.append(f"level {n}: structure map has wrong shape")
                 continue
             for i in range(n - 2):
-                lhs = (P @ M.act[n - 1][i]) % p
-                rhs = (M.act[n][i] @ P) % p
-                if not (lhs == rhs).all():
+                if not (mul(P, M.act[n - 1][i]) == mul(M.act[n][i], P)).all():
                     bad.append(f"level {n}: structure map not equivariant at s_{i}")
         if n >= 2:
-            PP = (M.phi[n] @ M.phi[n - 1]) % p
-            top = M.act[n][n - 2]
-            if not ((top @ PP) % p == PP).all():
+            PP = mul(M.phi[n], M.phi[n - 1])
+            if not (mul(M.act[n][n - 2], PP) == PP).all():
                 bad.append(f"level {n}: two-step symmetry fails")
     return bad
 
@@ -407,11 +410,12 @@ class FIMapWindow:
                 bad.append(f"level {n}: map has wrong shape")
                 continue
             for i in range(n - 1):
-                if not ((F @ S.act[n][i]) % p == (T.act[n][i] @ F) % p).all():
+                if not (exactlin.matmul_modp(F, S.act[n][i], p)
+                        == exactlin.matmul_modp(T.act[n][i], F, p)).all():
                     bad.append(f"level {n}: map not equivariant at s_{i}")
             if n >= 1:
-                lhs = (F @ S.phi[n]) % p
-                rhs = (T.phi[n] @ self.mats[n - 1]) % p
+                lhs = exactlin.matmul_modp(F, S.phi[n], p)
+                rhs = exactlin.matmul_modp(T.phi[n], self.mats[n - 1], p)
                 if not (lhs == rhs).all():
                     bad.append(f"level {n}: map does not commute with structure maps")
         return bad
@@ -432,10 +436,12 @@ def quotient_by_images(M: FIModuleWindow, images: list[np.ndarray],
     for n in range(M.N + 1):
         mats = []
         for i in range(n - 1):
-            mats.append(projs[n] @ M.act[n][i] @ secs[n] % p)
+            mats.append(exactlin.matmul_modp(
+                projs[n], exactlin.matmul_modp(M.act[n][i], secs[n], p), p))
         act.append(mats)
         if n >= 1:
-            phi.append(projs[n] @ M.phi[n] @ secs[n - 1] % p)
+            phi.append(exactlin.matmul_modp(
+                projs[n], exactlin.matmul_modp(M.phi[n], secs[n - 1], p), p))
     return FIModuleWindow(p, M.N, dims, act, phi, name=name or f"quot({M.name})")
 
 
@@ -450,10 +456,12 @@ def submodule_from_kernels(f: FIMapWindow, name: str = "") -> FIModuleWindow:
     for n in range(M.N + 1):
         mats = []
         for i in range(n - 1):
-            mats.append(exactlin.solve_modp(kers[n], M.act[n][i] @ kers[n] % p, p))
+            mats.append(exactlin.solve_modp(
+                kers[n], exactlin.matmul_modp(M.act[n][i], kers[n], p), p))
         act.append(mats)
         if n >= 1:
-            phi.append(exactlin.solve_modp(kers[n], M.phi[n] @ kers[n - 1] % p, p))
+            phi.append(exactlin.solve_modp(
+                kers[n], exactlin.matmul_modp(M.phi[n], kers[n - 1], p), p))
     return FIModuleWindow(p, M.N, dims, act, phi, name=name or "ker")
 
 
@@ -491,7 +499,7 @@ def _shift_once(M: FIModuleWindow) -> FIModuleWindow:
     phi: list[np.ndarray | None] = [None]
     for n in range(1, N + 1):
         top = M.act[n + 1][n - 1]  # transposition of points n-1, n at level n+1
-        phi.append(top @ M.phi[n + 1] % p)
+        phi.append(exactlin.matmul_modp(top, M.phi[n + 1], p))
     return FIModuleWindow(p, N, dims, act, phi)
 
 
@@ -563,7 +571,7 @@ def random_induced_map(p: int, N: int, gen_deg: int, rel_deg: int,
     perms = list(itertools.permutations(range(rel_deg)))
     phi_w = np.zeros((tgt.dims[rel_deg], len(perms)), dtype=np.int64)
     for k, s in enumerate(perms):
-        phi_w[:, k] = tgt.perm_matrix(rel_deg, s) @ img % p
+        phi_w[:, k] = exactlin.matmul_modp(tgt.perm_matrix(rel_deg, s), img, p)
 
     tgt_index = [{key: i for i, key in enumerate(induced_basis(V, n))}
                  for n in range(N + 1)]

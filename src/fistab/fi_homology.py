@@ -176,7 +176,7 @@ def presentation_profiles(M: FIModuleWindow) -> tuple[list[int], list[int]]:
         if n == 1:
             continue
         rel = presentation_relation_map(M, n)
-        if ((koszul_boundary(M, n, 1) @ rel) % p).any():
+        if exactlin.matmul_modp(koszul_boundary(M, n, 1), rel, p).any():
             raise InternalConsistencyError(
                 f"level {n}: relation map does not land in the kernel")
         h1[n] -= exactlin.rank_modp(rel, p)
@@ -326,7 +326,8 @@ class FIComplexWindow:
                 bad.append(f"differential {j}: {msg}")
         for j in range(self.jmin + 2, self.jmax + 1):
             for n in range(self.N + 1):
-                if ((self.diffs[j - 1][n] @ self.diffs[j][n]) % self.p).any():
+                if exactlin.matmul_modp(self.diffs[j - 1][n], self.diffs[j][n],
+                                        self.p).any():
                     bad.append(f"d^2 != 0 at degree {j}, level {n}")
         return bad
 

@@ -131,6 +131,45 @@ def test_colspace_projection_section(A, p):
     assert (proj @ sec % p == np.eye(q, dtype=np.int64) % p).all()
 
 
+# dense products -------------------------------------------------------------
+
+
+def matmul_oracle(A, B, p):
+    """A @ B mod p in Python ints, one entry at a time."""
+    d, k = A.shape
+    e = B.shape[1]
+    A, B = A.tolist(), B.tolist()
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(e)]
+            for i in range(d)]
+
+
+# 33554393 < 2**25: the float64 bound k (p-1)**2 < 2**53 stops at k = 7
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 33554393, 2**31 - 1]), st.integers(0, 5),
+       st.integers(0, 12), st.integers(0, 5), st.data())
+def test_matmul_modp_matches_python_ints(p, d, k, e, data):
+    entries = st.one_of(st.integers(0, p - 1), st.integers(-2**62, 2**62))
+
+    def draw(m, n):
+        rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+        return np.array(rows, dtype=np.int64).reshape(m, n)
+
+    A, B = draw(d, k), draw(k, e)
+    got = exactlin.matmul_modp(A, B, p)
+    assert got.dtype == np.int64 and got.shape == (d, e)
+    assert got.tolist() == matmul_oracle(A, B, p)
+
+
+def test_matmul_modp_zero_sizes():
+    for p in (2, 2**31 - 1):
+        Z = exactlin.matmul_modp(np.ones((3, 0), np.int64),
+                                 np.ones((0, 4), np.int64), p)
+        assert Z.dtype == np.int64 and Z.shape == (3, 4) and not Z.any()
+        assert exactlin.matmul_modp(np.ones((0, 2), np.int64),
+                                    np.ones((2, 5), np.int64), p).shape == (0, 5)
+
+
 # sparse and GF(2) paths ----------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fistab import fi_core
+from fistab import exactlin, fi_core, fi_homology
 
 primes = st.sampled_from([2, 3, 5])
 
@@ -96,6 +96,61 @@ def test_zero_structure_maps_are_legal():
     # non-injective (even zero) inclusions are allowed: torsion modules
     M = fi_core.torsion_point_module(2, 2, 4)
     assert fi_core.validate(M) == []
+
+
+P_MAX = 2**31 - 1  # the largest prime modulus the library admits
+
+
+def _conjugated_window(swaps):
+    """The S_3 representation with s_0, s_1 = swaps at level 3, conjugated
+    by a random invertible S mod P_MAX, and zero below; and the map that
+    conjugates a matrix by S.
+
+    The entries are spread over [0, 2**31), so a product of two of them
+    is near 2**62 and int64 sums of a few such products wrap.
+    """
+    d = swaps[0].shape[0]
+    rng = np.random.default_rng(5)
+    S = rng.integers(0, P_MAX, size=(d, d))
+    assert exactlin.rank_modp(S, P_MAX) == d
+    S_inv = exactlin.solve_modp(S, np.eye(d, dtype=np.int64), P_MAX)
+
+    def conj(X):
+        out = S.astype(object) @ X.astype(object) @ S_inv.astype(object)
+        return (out % P_MAX).astype(np.int64)
+
+    dims = [0, 0, 0, d]
+    act = [[np.zeros((0, 0), dtype=np.int64)] * max(0, n - 1) for n in range(3)]
+    act.append([conj(X) for X in swaps])
+    phi = [None] + [np.zeros((dims[n], dims[n - 1]), dtype=np.int64)
+                    for n in range(1, 4)]
+    return fi_core.FIModuleWindow(P_MAX, 3, dims, act, phi), conj
+
+
+def test_validate_exact_at_largest_prime():
+    # S_3 permuting the coordinates of F_p^3
+    I3 = np.eye(3, dtype=np.int64)
+    M, _ = _conjugated_window([I3[[1, 0, 2]], I3[[0, 2, 1]]])
+    assert fi_core.validate(M) == []
+    M.act[3][1] = M.act[3][1].copy()
+    M.act[3][1][0, 0] = (M.act[3][1][0, 0] + 1) % P_MAX
+    assert fi_core.validate(M)
+
+
+def test_map_and_complex_checks_exact_at_largest_prime():
+    # S_3 on its group algebra; M --f--> M --g--> M with f = J, g = J - 6I
+    # at level 3 (J all ones, conjugated by S): both commute with every
+    # permutation matrix, and g f = 6J - 6J = 0
+    M, conj = _conjugated_window(fi_core.fb_regular(P_MAX, 3).trans[3])
+    J = np.ones((6, 6), dtype=np.int64)
+    zero = [np.zeros((0, 0), dtype=np.int64)] * 3
+    f = zero + [conj(J)]
+    g = zero + [conj(J - 6 * np.eye(6, dtype=np.int64))]
+    assert fi_core.FIMapWindow(M, M, f).validate() == []
+    C = fi_homology.FIComplexWindow(P_MAX, 3, 0, 2, [M, M, M], {1: g, 2: f})
+    assert C.validate() == []
+    C.diffs[1] = f
+    assert C.validate() == ["d^2 != 0 at degree 2, level 3"]
 
 
 # the induced action in detail -------------------------------------------------
