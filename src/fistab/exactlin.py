@@ -4,7 +4,8 @@ Everything here is exact.  F_p matrices are int64 numpy arrays reduced
 mod p (p < 2**31, so a product of two residues fits in int64).  Dense
 products go through `matmul_modp`: as float64 on BLAS while k * (p-1)**2
 < 2**53 for the inner dimension k, the range in which float64 sums the
-integer products exactly in any order, and in Python ints beyond it.  The
+integer products exactly in any order (small products stay in int64
+there), and in Python ints beyond it.  The
 integer Smith normal form uses arbitrary-precision Python ints.  The two
 heavy paths are a vectorized dense elimination mod p and one sparse
 column reduction for large boundary matrices, which over GF(2) runs on
@@ -34,25 +35,24 @@ def _check_p(p: int) -> None:
 
 
 def asmod(A, p: int) -> np.ndarray:
-    A = np.asarray(A, dtype=np.int64)
-    if A.ndim != 2:
-        raise ValueError("expected a 2d array")
-    return A % p
-
-
-_FLOAT_EXACT = 2**53
-
-
-def _residues(A, p: int) -> np.ndarray:
-    """A as int64 with entries in [0, p), copied only if some entry is not.
+    """A as a 2d int64 array with entries in [0, p), copied only if some
+    entry is not; callers that write to it copy it first.
 
     Seen as uint64, a negative entry is at least 2**63, so one maximum
     checks both ends of the range.
     """
     A = np.asarray(A, dtype=np.int64)
+    if A.ndim != 2:
+        raise ValueError("expected a 2d array")
     if A.size and A.view(np.uint64).max() >= p:
         A = A % p
     return A
+
+
+_FLOAT_EXACT = 2**53
+# Below this many multiply-adds (d * k * e) numpy's int64 loop beats the
+# float64 conversions and BLAS call, whose fixed cost is about 13 us.
+_INT64_WORK = 2**14
 
 
 def matmul_modp(A, B, p: int) -> np.ndarray:
@@ -60,17 +60,24 @@ def matmul_modp(A, B, p: int) -> np.ndarray:
 
     Both operands are reduced mod p.  While k * (p-1)**2 < 2**53 (k the
     inner dimension) every partial sum is an integer below 2**53, so the
-    float64 BLAS product is exact whatever its summation order; beyond
-    that bound the operands are Python-int object arrays.
+    float64 BLAS product is exact whatever its summation order, and so is
+    the int64 one that small products use; beyond that bound the operands
+    are Python-int object arrays.
     """
     if p < 2:
         raise ValueError(f"modulus {p} must be at least 2")
-    A, B = _residues(A, p), _residues(B, p)
-    if A.shape[-1] * (p - 1) ** 2 >= _FLOAT_EXACT:
+    A, B = asmod(A, p), asmod(B, p)
+    d, k = A.shape
+    if k * (p - 1) ** 2 >= _FLOAT_EXACT:
         return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
-    C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    if d * k * B.shape[1] <= _INT64_WORK:
+        return A @ B % p
+    F = A.astype(np.float64) @ B.astype(np.float64)
+    C = F.astype(np.int64)
+    # C - (C // p) * p, the quotient written over the float product:
     # numpy divides by a scalar far faster than it takes a remainder
-    q = C // p
+    q = F.view(np.int64)
+    np.floor_divide(C, p, out=q)
     q *= p
     C -= q
     return C

@@ -566,12 +566,12 @@ def random_induced_map(p: int, N: int, gen_deg: int, rel_deg: int,
     W = fb_regular(p, rel_deg)
     tgt = induced_module(V, N)
     src = induced_module(W, N)
-    img = rng.integers(0, p, size=tgt.dims[rel_deg]).astype(np.int64)
+    img = rng.integers(0, p, size=tgt.dims[rel_deg]).astype(np.int64)[:, None]
 
     perms = list(itertools.permutations(range(rel_deg)))
     phi_w = np.zeros((tgt.dims[rel_deg], len(perms)), dtype=np.int64)
     for k, s in enumerate(perms):
-        phi_w[:, k] = exactlin.matmul_modp(tgt.perm_matrix(rel_deg, s), img, p)
+        phi_w[:, [k]] = exactlin.matmul_modp(tgt.perm_matrix(rel_deg, s), img, p)
 
     tgt_index = [{key: i for i, key in enumerate(induced_basis(V, n))}
                  for n in range(N + 1)]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,11 +144,15 @@ def matmul_oracle(A, B, p):
             for i in range(d)]
 
 
-# 33554393 < 2**25: the float64 bound k (p-1)**2 < 2**53 stops at k = 7
+# 33554393 < 2**25: k (p-1)**2 < 2**53 holds up to k = 8, so k <= 8 runs
+# a machine-number branch and k >= 9 the Python-int one.  The small-work
+# cutoff is drawn as 0 or as its own value, so that small shapes run the
+# float64 branch as well as the int64 one.
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5, 33554393, 2**31 - 1]), st.integers(0, 5),
-       st.integers(0, 12), st.integers(0, 5), st.data())
-def test_matmul_modp_matches_python_ints(p, d, k, e, data):
+       st.integers(0, 12), st.integers(0, 5),
+       st.sampled_from([0, exactlin._INT64_WORK]), st.data())
+def test_matmul_modp_matches_python_ints(p, d, k, e, cutoff, data):
     entries = st.one_of(st.integers(0, p - 1), st.integers(-2**62, 2**62))
 
     def draw(m, n):
@@ -156,12 +161,28 @@ def test_matmul_modp_matches_python_ints(p, d, k, e, data):
         return np.array(rows, dtype=np.int64).reshape(m, n)
 
     A, B = draw(d, k), draw(k, e)
-    got = exactlin.matmul_modp(A, B, p)
+    with mock.patch.object(exactlin, "_INT64_WORK", cutoff):
+        got = exactlin.matmul_modp(A, B, p)
     assert got.dtype == np.int64 and got.shape == (d, e)
     assert got.tolist() == matmul_oracle(A, B, p)
 
 
+@pytest.mark.parametrize("k", [8, 9, 16])
+def test_matmul_modp_at_the_float_bound(k):
+    # k = 8 is the largest inner dimension on float64 at p = 33554393: its
+    # sums of products near (p-1)**2 come close to 2**53, and from k = 9
+    # on they pass it, where float64 no longer holds every integer
+    p = 33554393
+    rng = np.random.default_rng(k)
+    A = rng.integers(p - 1000, p, size=(30, k))
+    B = rng.integers(p - 1000, p, size=(k, 80))
+    assert A.size * B.shape[1] > exactlin._INT64_WORK
+    assert exactlin.matmul_modp(A, B, p).tolist() == matmul_oracle(A, B, p)
+
+
 def test_matmul_modp_zero_sizes():
+    # k = 0 always takes a machine-number branch; 0xk @ kxe at the largest
+    # prime takes the Python-int one
     for p in (2, 2**31 - 1):
         Z = exactlin.matmul_modp(np.ones((3, 0), np.int64),
                                  np.ones((0, 4), np.int64), p)
