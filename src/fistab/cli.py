@@ -63,7 +63,7 @@ def _human(report: dict) -> str:
 
 def _report(args, outputs: dict, t0: float, verdict=None) -> dict:
     rep = {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else "",
+        "command": args.command,
         "version": __version__,
         "outputs": outputs,
         "timings": {"seconds": round(time.perf_counter() - t0, 3)},
@@ -436,8 +436,9 @@ def _add_verify_parser(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(argv)
+    args.command = " ".join(argv)
     try:
         return args.fn(args)
     except FeasibilityError as exc:

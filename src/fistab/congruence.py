@@ -71,21 +71,12 @@ def identify_structure(m: int, q: int, n: int) -> dict:
     if not (acc == np.eye(n, dtype=np.int64)[None]).all():
         raise InternalConsistencyError("claimed exponent does not annihilate")
     rank = None
-    if abelian and _is_prime(exponent):
+    if abelian and exactlin.is_prime(exponent):
         r = round(math.log(order, exponent)) if order > 1 else 0
         if exponent ** r == order:
             rank = r
     return {"order": order, "abelian": abelian, "exponent": exponent,
             "elementary_abelian_rank": rank}
-
-
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    for d in range(2, int(x ** 0.5) + 1):
-        if x % d == 0:
-            return False
-    return True
 
 
 def cohom_dim_formula(r: int, k: int) -> int:

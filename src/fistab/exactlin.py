@@ -14,6 +14,7 @@ Python-int bitsets.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,17 +22,24 @@ import numpy as np
 _PMAX = 2**31
 
 
+@functools.lru_cache(maxsize=None)
+def is_prime(x: int) -> bool:
+    """Trial division, run once per distinct x."""
+    if x < 2:
+        return False
+    d = 2
+    while d * d <= x:
+        if x % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def _check_p(p: int) -> None:
     if not (2 <= p < _PMAX):
         raise ValueError(f"modulus {p} out of supported range [2, 2^31)")
-    # cheap deterministic primality for the sizes we allow
-    if p % 2 == 0 and p != 2:
+    if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"modulus {p} is not prime")
-        d += 2
 
 
 def asmod(A, p: int) -> np.ndarray:

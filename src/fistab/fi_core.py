@@ -573,9 +573,8 @@ def random_induced_map(p: int, N: int, gen_deg: int, rel_deg: int,
     for k, s in enumerate(perms):
         phi_w[:, [k]] = exactlin.matmul_modp(tgt.perm_matrix(rel_deg, s), img, p)
 
-    tgt_index = [{key: i for i, key in enumerate(induced_basis(V, n))}
-                 for n in range(N + 1)]
     tgt_bases = [induced_basis(V, n) for n in range(N + 1)]
+    tgt_index = [{key: i for i, key in enumerate(b)} for b in tgt_bases]
     mats = []
     for n in range(N + 1):
         F = np.zeros((tgt.dims[n], src.dims[n]), dtype=np.int64)

@@ -8,18 +8,13 @@ blocks and two column generators, with sign (-1)^x on the vertical map.
 They serve the hyper homology of complexes of windows here and both bar
 double complexes in `congruence`.
 
-Two routes to generation and relation degrees are kept side by side:
-
-* the subset-indexed Koszul-style complex (`koszul_boundary`,
-  `homology_table`), exact at every evaluation level using only levels
-  below it, and
-* the induction presentation complex (`presentation_profiles`), built
-  from coset transversals.
-
-`presentation_degrees` runs both and raises on disagreement.  Only the
-H_1 half is an independent check: the induction map of the presentation
-complex is the Koszul boundary d_1 itself, so both H_0 profiles read the
-same rank.  The relation map of H_1 is assembled separately.
+FI-homology comes from the one Koszul route: the subset-indexed complex
+(`koszul_boundary`, `homology_table`), exact at every evaluation level
+using only levels below it, whose ranks are computed once per window.
+`presentation_profiles` reads H_0 apart from it, as the codimension of
+the S_n-span of the image of the level below (closed under the s_i,
+without insertion maps or Koszul signs), and H_1 from the rank table.
+`presentation_degrees` raises when the two H_0 profiles differ.
 """
 
 from __future__ import annotations
@@ -128,70 +123,57 @@ def degree_of_profile(profile: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# presentation route (the relation map is assembled apart from the Koszul one)
+# presentation degrees, with H_0 checked on a route apart from the Koszul one
 # ---------------------------------------------------------------------------
 
 
-def presentation_relation_map(M: FIModuleWindow, n: int) -> np.ndarray:
-    """Difference of the two natural maps from the doubly-induced level n-2.
+def _generated_rank(M: FIModuleWindow, n: int) -> int:
+    """Dimension of the S_n-span of im phi_n, for n >= 1.
 
-    Basis of the source: ordered pairs (a, b) of distinct points of [n]
-    (the coset representative h_{a,b} maps the two top points to a and b),
-    tensored with level n-2.  The first map pushes the very top point into
-    the module, the second swaps the two added points first.
+    The row space of phi_n^T is closed under the s_i of level n: each
+    round applies them to the rows the previous round added, reduces the
+    results against the basis so far, and adds the echelon rows of what
+    is left, until nothing is left.  The basis is kept reduced (the
+    identity on its pivot columns).  Reads only M.phi and M.act.
     """
     p = M.p
-    w2, w1 = M.dims[n - 2], M.dims[n - 1]
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    D = np.zeros((n * w1, len(pairs) * w2), dtype=np.int64)
-    if w2 == 0 or w1 == 0:
-        return D
-    ins = [M.insertion_map(n - 2, t) for t in range(n - 1)]
-    for c, (a, b) in enumerate(pairs):
-        for swapped in (False, True):
-            x, y = (b, a) if swapped else (a, b)
-            # h_{x,y} lands in the coset of tau_y; the leftover permutation
-            # of [n-1] is the insertion missing the position of x in
-            # [n] minus {y}
-            blk = ins[x - (x > y)]
-            if swapped:
-                blk = (-blk) % p
-            i0 = y * w1
-            D[i0:i0 + w1, c * w2:c * w2 + w2] = (
-                D[i0:i0 + w1, c * w2:c * w2 + w2] + blk) % p
-    return D
+    R, piv = exactlin.rref_modp(M.phi[n].T, p)
+    basis = added = R[:len(piv)]
+    while len(added) and M.act[n]:
+        cand = np.concatenate([exactlin.matmul_modp(added, s.T, p)
+                               for s in M.act[n]])
+        cand = (cand - exactlin.matmul_modp(cand[:, piv], basis, p)) % p
+        R, new = exactlin.rref_modp(cand, p)
+        added = R[:len(new)]
+        basis = np.concatenate([
+            (basis - exactlin.matmul_modp(basis[:, new], added, p)) % p,
+            added])
+        piv = piv + new
+    return len(piv)
 
 
 def presentation_profiles(M: FIModuleWindow) -> tuple[list[int], list[int]]:
-    """(dim coker, dim middle homology) of the induction presentation
-    complex at each level."""
-    p = M.p
-    h0 = [0] * (M.N + 1)
-    h1 = [0] * (M.N + 1)
-    h0[0] = M.dims[0]
-    for n in range(1, M.N + 1):
-        r_mu = koszul_rank(M, n, 1)
-        h0[n] = M.dims[n] - r_mu
-        h1[n] = n * M.dims[n - 1] - r_mu
-        if n == 1:
-            continue
-        rel = presentation_relation_map(M, n)
-        if exactlin.matmul_modp(koszul_boundary(M, n, 1), rel, p).any():
-            raise InternalConsistencyError(
-                f"level {n}: relation map does not land in the kernel")
-        h1[n] -= exactlin.rank_modp(rel, p)
-    return h0, h1
+    """(dim H_0, dim H_1) at each level.
+
+    H_0 is dims[n] minus the dimension of the S_n-span of the image of
+    level n-1, which uses no insertion map and no Koszul sign; H_1 is read
+    from the Koszul rank table.
+    """
+    h0 = [M.dims[0]] + [M.dims[n] - _generated_rank(M, n)
+                        for n in range(1, M.N + 1)]
+    return h0, homology_table(M, 1)[1]
 
 
 def presentation_degrees(M: FIModuleWindow) -> tuple[int, int]:
-    """(t0, t1) within the window, cross-checked against the Koszul route."""
-    h0p, h1p = presentation_profiles(M)
-    table = homology_table(M, 1)
-    if table[0] != h0p or table[1] != h1p:
+    """(t0, t1) within the window; H_0 is cross-checked against the Koszul
+    route."""
+    h0, h1 = presentation_profiles(M)
+    koszul_h0 = homology_table(M, 0)[0]
+    if koszul_h0 != h0:
         raise InternalConsistencyError(
-            "presentation complex disagrees with the subset complex: "
-            f"H0 {table[0]} vs {h0p}; H1 {table[1]} vs {h1p}")
-    return degree_of_profile(h0p), degree_of_profile(h1p)
+            "the S_n-span of the structure maps disagrees with the Koszul "
+            f"complex: H0 {koszul_h0} vs {h0}")
+    return degree_of_profile(h0), degree_of_profile(h1)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_internal_inconsistency_exit_code(capsys, monkeypatch):
     assert "internal inconsistency: routes disagree" in err
 
 
+def test_report_records_main_argv(capsys):
+    # in-process calls record their own arguments, not the host's argv
+    argv = ["bounds", "star", "--t0", "1", "--t1", "2", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["command"] == " ".join(argv)
+
+
 def test_json_reports_deterministic(capsys):
     outs = []
     for _ in range(2):

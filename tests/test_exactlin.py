@@ -319,3 +319,9 @@ def test_bad_prime_rejected():
         exactlin.rank_modp(np.eye(2, dtype=np.int64), 4)
     with pytest.raises(ValueError):
         exactlin.rank_modp(np.eye(2, dtype=np.int64), 1)
+
+
+def test_is_prime_matches_sympy():
+    xs = list(range(10**4)) + [2**31 - 1, 2**31 - 3]
+    assert [exactlin.is_prime(x) for x in xs] == [sympy.isprime(x) for x in xs]
+    assert exactlin.rank_modp(np.eye(3, dtype=np.int64), 2**31 - 1) == 3

@@ -63,9 +63,10 @@ def test_torsion_point_homology():
 
 
 @settings(max_examples=25, deadline=None)
-@given(primes, st.integers(0, 500))
-def test_presentation_matches_koszul(p, seed):
-    M = fi_core.random_presented(p, 6, 1 + seed % 2, 2 + seed % 2, seed)
+@given(primes, st.sampled_from(["presented", "kernel", "shifted", "derivative"]),
+       st.integers(0, 500))
+def test_presentation_matches_koszul(p, kind, seed):
+    M = random_window(kind, p, seed)
     h0, h1 = fi_homology.presentation_profiles(M)
     table = fi_homology.homology_table(M, 1)
     assert h0 == table[0]
@@ -84,9 +85,10 @@ def test_presentation_level_edge_cases():
 
 
 def test_relation_map_blocks_are_insertion_maps():
-    # every block of presentation_relation_map is the insertion map
-    # missing x - (x > y); the coset permutation is recomputed here from
-    # the representative h_{x,y} and the inverse of tau_y
+    # every block of the relation map (oracle_relation_map, below) is the
+    # insertion map missing x - (x > y); the coset permutation is
+    # recomputed here from the representative h_{x,y} and the inverse of
+    # tau_y
     cases = 0
     for n in range(2, 10):
         for x in range(n):
@@ -107,7 +109,7 @@ def test_relation_map_blocks_are_insertion_maps():
 def test_presentation_consistency_guard():
     M = fi_core.free_module(2, 1, 5)
     # corrupting an action matrix must either fail validation or trip the
-    # internal mu-compatibility check
+    # H_0 cross-check
     M.act[3][0] = np.eye(3, dtype=np.int64)[[0, 1, 2]]
     bad_validate = bool(fi_core.validate(M))
     tripped = False
@@ -116,6 +118,20 @@ def test_presentation_consistency_guard():
     except fi_homology.InternalConsistencyError:
         tripped = True
     assert bad_validate or tripped
+
+
+def test_presentation_h0_catches_bad_insertion_maps():
+    # zero insertion maps out of level 2 corrupt only the Koszul route;
+    # the span closure reads phi and the s_i, so the two H_0 rows differ
+    def build():
+        return fi_core.random_presented(3, 6, 1, 2, 5)
+
+    assert fi_homology.presentation_degrees(build()) == (1, 2)
+    M = build()
+    M.cache[("ins", 2)] = [np.zeros((M.dims[3], M.dims[2]), dtype=np.int64)
+                           for _ in range(3)]
+    with pytest.raises(fi_homology.InternalConsistencyError):
+        fi_homology.presentation_degrees(M)
 
 
 # invariants -------------------------------------------------------------------
@@ -373,6 +389,57 @@ def test_koszul_matches_dense_oracle(p, kind, seed):
             D = oracle_koszul_boundary(M, n, k)
             assert np.array_equal(fi_homology.koszul_boundary(M, n, k), D)
             assert fi_homology.koszul_rank(M, n, k) == exactlin.rank_modp(D, p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]),
+       st.sampled_from(["presented", "kernel", "shifted", "derivative"]),
+       st.integers(0, 500))
+def test_koszul_boundary_squares_to_zero(p, kind, seed):
+    M = random_window(kind, p, seed)
+    for n in range(M.N + 1):
+        for k in range(2, n + 2):
+            assert not exactlin.matmul_modp(
+                fi_homology.koszul_boundary(M, n, k - 1),
+                fi_homology.koszul_boundary(M, n, k), p).any()
+
+
+def oracle_relation_map(M, n):
+    """The relation map of the induction presentation at level n >= 2.
+
+    Source basis: ordered pairs (a, b) of distinct points of [n], tensored
+    with level n-2.  Pair (x, y) pushes level n-2 into copy y of level n-1
+    by the insertion map missing x - (x > y); the pair's column is that
+    push minus the push of (b, a).
+    """
+    p = M.p
+    w2, w1 = M.dims[n - 2], M.dims[n - 1]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    D = np.zeros((n * w1, len(pairs) * w2), dtype=np.int64)
+    for c, (a, b) in enumerate(pairs):
+        for sign, (x, y) in ((1, (a, b)), (-1, (b, a))):
+            blk = D[y * w1:(y + 1) * w1, c * w2:(c + 1) * w2]
+            blk[:] = (blk + sign * M.insertion_map(n - 2, x - (x > y))) % p
+    return D, pairs
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]),
+       st.sampled_from(["presented", "kernel", "derivative"]),
+       st.integers(0, 500))
+def test_relation_map_is_doubled_koszul_d2(p, kind, seed):
+    # column (a, b) of the relation map is +/- column {a, b} of the Koszul
+    # d_2, so its rank and its kernel check repeat the Koszul rank table
+    M = random_window(kind, p, seed)
+    for n in range(2, M.N + 1):
+        D, pairs = oracle_relation_map(M, n)
+        K = fi_homology.koszul_boundary(M, n, 2)
+        index = {R: i for i, R in enumerate(itertools.combinations(range(n), 2))}
+        w2 = M.dims[n - 2]
+        for c, (a, b) in enumerate(pairs):
+            i = index[min(a, b), max(a, b)]
+            expect = K[:, i * w2:(i + 1) * w2] * (1 if a < b else -1) % p
+            assert np.array_equal(D[:, c * w2:(c + 1) * w2], expect)
 
 
 @settings(max_examples=15, deadline=None)
