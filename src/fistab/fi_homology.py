@@ -134,7 +134,8 @@ def _generated_rank(M: FIModuleWindow, n: int) -> int:
     round applies them to the rows the previous round added, reduces the
     results against the basis so far, and adds the echelon rows of what
     is left, until nothing is left.  The basis is kept reduced (the
-    identity on its pivot columns).  Reads only M.phi and M.act.
+    identity on its pivot columns), so no round re-reduces the span
+    found before it.  Reads only M.phi and M.act.
     """
     p = M.p
     R, piv = exactlin.rref_modp(M.phi[n].T, p)

@@ -63,14 +63,24 @@ def test_torsion_point_homology():
 
 
 @settings(max_examples=25, deadline=None)
-@given(primes, st.sampled_from(["presented", "kernel", "shifted", "derivative"]),
-       st.integers(0, 500))
-def test_presentation_matches_koszul(p, kind, seed):
-    M = random_window(kind, p, seed)
+@given(primes, st.integers(0, 500))
+def test_presentation_matches_koszul(p, seed):
+    M = fi_core.random_presented(p, 6, 1 + seed % 2, 2 + seed % 2, seed)
     h0, h1 = fi_homology.presentation_profiles(M)
     table = fi_homology.homology_table(M, 1)
     assert h0 == table[0]
     assert h1 == table[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(primes, st.sampled_from(["kernel", "shifted", "derivative"]),
+       st.integers(0, 500))
+def test_presentation_h0_matches_koszul_on_derived_windows(p, kind, seed):
+    # the span closure against the Koszul H_0 on windows that are not
+    # given by a presentation
+    M = random_window(kind, p, seed)
+    h0, _ = fi_homology.presentation_profiles(M)
+    assert h0 == fi_homology.homology_table(M, 0)[0]
 
 
 def test_presentation_level_edge_cases():
