@@ -23,8 +23,6 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", dest="as_json",
                      help="emit the full report as JSON")
     sub.add_argument("--out", metavar="FILE", help="write the report here")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized commands")
 
 
 def _emit(args, report: dict, code: int) -> int:
@@ -316,6 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deg", type=int, default=1)
     p.add_argument("--gen", type=int, default=1)
     p.add_argument("--rel", type=int, default=2)
+    p.add_argument("--seed", type=int, help="seed of random-presented")
     _common(p)
     p.set_defaults(fn=_cmd_fimod_construct)
     for name, fn in [("invariants", _cmd_fimod_invariants),
@@ -355,6 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "config":
             p.add_argument("--orientable", action="store_true")
             p.add_argument("--two-vector-fields", action="store_true")
+        if name == "audit":
+            p.add_argument("--seed", type=int, help="seed of the audit")
         _common(p)
         p.set_defaults(fn=_cmd_bounds)
 

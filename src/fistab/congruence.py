@@ -141,9 +141,8 @@ def _bar_rank(table: np.ndarray, j: int, p: int) -> int:
     """Rank over F_p of the bar boundary from degree j to j - 1."""
     if j <= 0:
         return 0
-    cols = [{r: v % p for r, v in col.items() if v % p}
-            for col in _bar_columns(table, j)]
-    return exactlin.sparse_rank_modp(cols, table.shape[0] ** (j - 1), p)
+    return exactlin.sparse_rank_modp(list(_bar_columns(table, j)),
+                                     table.shape[0] ** (j - 1), p)
 
 
 def _bar_cap(p: int) -> int:
@@ -449,67 +448,28 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-class BasedFIModule:
-    """An FI-module window whose every structure matrix is a basis
-    permutation or inclusion, stored as index maps.  Used for the bar
-    chain FI-modules, whose levels are far too large for dense matrices.
+def bar_fi_modules(groups: list, jmax: int) -> list[list[list[np.ndarray]]]:
+    """Insertion index maps of the bar chain FI-modules B_0 .. B_jmax of a
+    tower of congruence kernels, groups[n] at level n.
+
+    ins[j][m][t] sends each j-tuple of level m to its image under the
+    order embedding [m] -> [m+1] missing t, which puts g in the rows and
+    columns other than t and the identity's 1 at (t, t); it acts on tuples
+    entrywise, encoded base |groups[m]| and base |groups[m+1]|.
     """
-
-    def __init__(self, dims: list[int], trans: list[list[np.ndarray]],
-                 incl: list[np.ndarray | None]):
-        self.dims = dims
-        self.trans = trans   # trans[n][i]: image indices of s_i at level n
-        self.incl = incl     # incl[n]: image indices of level n-1 in level n
-        self._ins: dict[int, list[np.ndarray]] = {}
-
-    def insertion_indices(self, m: int, t: int) -> np.ndarray:
-        """Index map of the order embedding [m] -> [m+1] missing slot t.
-
-        All m+1 maps of level m are built together, by
-        insertion_permutation(m, t) = s_t o insertion_permutation(m, t+1),
-        starting from the standard inclusion at t = m.
-        """
-        maps = self._ins.get(m)
-        if maps is None:
-            maps = [self.incl[m + 1]]
-            for s in range(m - 1, -1, -1):
-                maps.append(self.trans[m + 1][s][maps[-1]])
-            maps.reverse()
-            self._ins[m] = maps
-        return maps[t]
-
-
-def bar_fi_modules(groups: list, jmax: int) -> list[BasedFIModule]:
-    """The bar chain groups of a tower of congruence kernels, groups[n]
-    at level n, as based FI-modules B_j, j = 0 .. jmax; symmetric groups
-    act by conjugation through permutation matrices, inclusions come from
-    the group corner inclusions."""
-    orders = [G.order for G in groups]
-    # per level: index maps of s_i and of the corner inclusion on GROUP
-    # elements, then extended diagonally to bar tuples
-    g_trans: list[list[np.ndarray]] = []
-    g_incl: list[np.ndarray | None] = [None]
-    for n, G in enumerate(groups):
+    g_ins = []
+    for m, (G, H) in enumerate(zip(groups, groups[1:])):
         maps = []
-        for i in range(n - 1):
-            sw = list(range(n))
-            sw[i], sw[i + 1] = i + 1, i
-            maps.append(G.indices_of(G.mats[:, sw][:, :, sw]))
-        g_trans.append(maps)
-        if n >= 1:
-            prev = groups[n - 1]
-            emb = np.broadcast_to(np.eye(n, dtype=np.int64),
-                                  (prev.order, n, n)).copy()
-            emb[:, :n - 1, :n - 1] = prev.mats
-            g_incl.append(G.indices_of(emb))
-    out = []
-    for j in range(jmax + 1):
-        trans = [[_diagonal_extension(g, j, o) for g in maps]
-                 for maps, o in zip(g_trans, orders)]
-        incl = [None] + [_diagonal_extension(g, j, o)
-                         for g, o in zip(g_incl[1:], orders[1:])]
-        out.append(BasedFIModule([o ** j for o in orders], trans, incl))
-    return out
+        for t in range(m + 1):
+            keep = np.delete(np.arange(m + 1), t)
+            emb = np.zeros((G.order, m + 1, m + 1), dtype=np.int64)
+            emb[:, t, t] = 1
+            emb[:, keep[:, None], keep] = G.mats
+            maps.append(H.indices_of(emb))
+        g_ins.append(maps)
+    return [[[_diagonal_extension(g, j, H.order) for g in maps]
+             for maps, H in zip(g_ins, groups[1:])]
+            for j in range(jmax + 1)]
 
 
 def _diagonal_extension(gmap: np.ndarray, j: int, order: int) -> np.ndarray:
@@ -531,27 +491,28 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
     """
     exactlin._check_p(p)
     groups = [splitbases.congruence_group(m, q, t) for t in range(n + 1)]
-    mods = bar_fi_modules(groups, k + 1)
-    tables = [G.multiplication_table() for G in groups]
+    orders = [G.order for G in groups]
 
     def blocks(t: int) -> list[tuple[int, int, int]]:
         # x = number of removed points r, y = bar degree j
-        return [(t - j, j, math.comb(n, t - j) * mods[j].dims[n - t + j])
+        return [(t - j, j, math.comb(n, t - j) * orders[n - t + j] ** j)
                 for j in range(t + 1) if t - j <= n]
 
+    dims = _total_dims(blocks, range(max(0, k - 1), k + 2), p)
+    ins = bar_fi_modules(groups, k + 1)
+    tables = [G.multiplication_table() for G in groups]
+
     def koszul(r: int, j: int):
-        lev, mod = n - r, mods[j]
-        ins = [[{i: 1} for i in mod.insertion_indices(lev, s).tolist()]
-               for s in range(lev + 1)]
-        return fi_homology.koszul_columns(ins, n, r, mod.dims[lev + 1])
+        lev = n - r
+        cols = [[{i: 1} for i in g.tolist()] for g in ins[j][lev]]
+        return fi_homology.koszul_columns(cols, n, r, orders[lev + 1] ** j)
 
     def bar(r: int, j: int):
         lev = n - r
         return fi_homology.tensor_identity(math.comb(n, r),
                                            list(_bar_columns(tables[lev], j)),
-                                           mods[j - 1].dims[lev])
+                                           orders[lev] ** (j - 1))
 
-    dims = _total_dims(blocks, range(max(0, k - 1), k + 2), p)
     return (dims[k] - fi_homology.total_rank(blocks, koszul, bar, k, p)
             - fi_homology.total_rank(blocks, koszul, bar, k + 1, p))
 

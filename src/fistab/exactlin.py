@@ -210,8 +210,9 @@ def columns_to_dense(columns: list, nrows: int, p: int) -> np.ndarray:
 def sparse_rank_modp(columns: list, nrows: int, p: int) -> int:
     """Rank of a column-sparse matrix over F_p.
 
-    `columns[j]` maps row index -> coefficient; for p = 2 it may also be
-    a list of row indices, a repeated index cancelling.  Left-to-right
+    `columns[j]` maps row index -> integer coefficient, reduced mod p
+    here; for p = 2 it may also be a list of row indices, a repeated
+    index cancelling.  Left-to-right
     reduction with a pivot table keyed on the lowest (largest-index)
     nonzero row, the same scheme used for boundary-matrix reduction.
     Over F_2 each column is a Python-int bitset (`rank_gf2_from_columns`).
@@ -318,13 +319,10 @@ def smith_normal_form(A) -> tuple[int, ...]:
     invariant factors are not reported: the tuple has length rank(A).
     """
     A = np.asarray(A)
-    mat: dict[tuple[int, int], int] = {}
-    m, n = A.shape
-    for i in range(m):
-        for j in range(n):
-            v = int(A[i, j])
-            if v:
-                mat[(i, j)] = v
+    ri, ci = np.nonzero(A)
+    mat: dict[tuple[int, int], int] = {
+        (i, j): int(v) for i, j, v in
+        zip(ri.tolist(), ci.tolist(), A[ri, ci].tolist())}
     rows: dict[int, set[int]] = {}
     cols: dict[int, set[int]] = {}
     for (i, j) in mat:

@@ -96,18 +96,6 @@ class FBWindow:
     dims: list[int]
     trans: list[list[np.ndarray]]  # trans[m][i] = matrix of s_i on level m
 
-    @property
-    def degree(self) -> int:
-        """Largest m with a nonzero level, or -1."""
-        d = -1
-        for m, dm in enumerate(self.dims):
-            if dm:
-                d = m
-        return d
-
-    def perm_matrix(self, m: int, sigma) -> np.ndarray:
-        return matrix_of_permutation(self.trans[m], sigma, self.p, self.dims[m])
-
 
 def fb_zero(p: int, top: int) -> FBWindow:
     return FBWindow(p, [0] * (top + 1),

@@ -342,10 +342,11 @@ def tensor_identity(count: int, cols: list[dict[int, int]], stride: int):
             yield {off + r: v for r, v in col.items()}
 
 
-def total_columns(blocks, horizontal, vertical, t: int,
-                  p: int) -> tuple[list[dict[int, int]], int]:
-    """Columns mod p, and the row count, of the total differential
-    d_h + (-1)^x d_v of a double complex from degree t to t - 1.
+def total_columns(blocks, horizontal, vertical,
+                  t: int) -> tuple[list[dict[int, int]], int]:
+    """Integer columns, and the row count, of the total differential
+    d_h + (-1)^x d_v of a double complex from degree t to t - 1; the
+    rank kernel and `columns_to_dense` reduce them mod p.
 
     blocks(t) lists the (x, y, size) blocks with x + y = t, in the order
     in which their cells are numbered.  horizontal(x, y) and vertical(x, y)
@@ -369,9 +370,7 @@ def total_columns(blocks, horizontal, vertical, t: int,
             col = {}
             for piece, (_, off, sign) in zip(pieces, parts):
                 for r, v in piece.items():
-                    v = sign * v % p
-                    if v:
-                        col[off + r] = v
+                    col[off + r] = sign * v
             cols.append(col)
     return cols, nrows
 
@@ -379,7 +378,7 @@ def total_columns(blocks, horizontal, vertical, t: int,
 def total_rank(blocks, horizontal, vertical, t: int, p: int) -> int:
     """Rank over F_p of the total differential from degree t to t - 1."""
     return exactlin.sparse_rank_modp(
-        *total_columns(blocks, horizontal, vertical, t, p), p)
+        *total_columns(blocks, horizontal, vertical, t), p)
 
 
 def _hyper_double(C: FIComplexWindow, n: int):
@@ -406,7 +405,7 @@ def hyper_boundary(C: FIComplexWindow, n: int, m: int) -> np.ndarray:
     T_m stacks the Koszul degree r piece of the degree-j module over all
     j + r = m, ordered by j; the complex differential carries sign (-1)^r.
     """
-    cols, nrows = total_columns(*_hyper_double(C, n), m, C.p)
+    cols, nrows = total_columns(*_hyper_double(C, n), m)
     return exactlin.columns_to_dense(cols, nrows, C.p)
 
 

@@ -567,32 +567,26 @@ def integral_reduced_homology(X: SimplicialComplex,
     The boundaries are dense integer matrices, so each is guarded: one
     with more than FACE_CAP cells raises FeasibilityError.
     """
-    out = {}
     faces: dict[int, list] = {k: X.faces(k) for k in
                               range(-1, X.dimension() + 2)}
-
-    def bmatrix(k: int) -> np.ndarray:
-        fk, fk1 = faces.get(k, []), faces.get(k - 1, [])
-        if len(fk1) * len(fk) > FACE_CAP:
+    # each boundary is guarded before any is built, and reduced once
+    needed = sorted({d for k in ks for d in (k, k + 1)})
+    for d in needed:
+        rows, cols = len(faces.get(d - 1, [])), len(faces.get(d, []))
+        if rows * cols > FACE_CAP:
             raise FeasibilityError(
-                f"boundary matrix {len(fk1)} x {len(fk)} in dimension {k} "
+                f"boundary matrix {rows} x {cols} in dimension {d} "
                 f"exceeds the cap {FACE_CAP}")
-        D = np.zeros((len(fk1), len(fk)), dtype=np.int64)
-        for c, col in enumerate(boundary_columns(fk, fk1)):
+    snf = {}
+    for d in needed:
+        fd, fd1 = faces.get(d, []), faces.get(d - 1, [])
+        D = np.zeros((len(fd1), len(fd)), dtype=np.int64)
+        for c, col in enumerate(boundary_columns(fd, fd1)):
             for r, v in col.items():
                 D[r, c] = v
-        return D
-
-    for k in ks:
-        dk = bmatrix(k)
-        dk1 = bmatrix(k + 1)
-        snf_k = exactlin.smith_normal_form(dk) if dk.size else ()
-        snf_k1 = exactlin.smith_normal_form(dk1) if dk1.size else ()
-        ck = len(faces.get(k, []))
-        free = ck - len(snf_k) - len(snf_k1)
-        torsion = tuple(d for d in snf_k1 if d > 1)
-        out[k] = (free, torsion)
-    return out
+        snf[d] = exactlin.smith_normal_form(D) if D.size else ()
+    return {k: (len(faces.get(k, [])) - len(snf[k]) - len(snf[k + 1]),
+                tuple(d for d in snf[k + 1] if d > 1)) for k in ks}
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,13 @@ def test_max_cells_flag_rejected(capsys):
     assert "--max-cells" in capsys.readouterr().err
 
 
+def test_seed_flag_only_on_seeded_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "star", "--t0", "1", "--t1", "2", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_construct_validate_invariants_pipeline(tmp_path, capsys):
     f = tmp_path / "m.json"
     code, _, _ = run(capsys, "fimod", "construct", "--kind",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,18 +197,44 @@ def test_validate_checks_every_pair():
 # hyper FI-homology -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("m,q,N,jmax", [(4, 2, 3, 1), (9, 3, 2, 2)])
+@pytest.mark.parametrize("m,q,N,jmax", [(4, 2, 3, 1), (9, 3, 2, 2),
+                                         (4, 2, 3, 2), (8, 2, 2, 2)])
 def test_insertion_indices_match_permutation_route(m, q, N, jmax):
+    # oracle: the corner inclusion, then conjugation by the adjacent
+    # transpositions of insertion_permutation(lev, t), all on j-tuples
     groups = [sb.congruence_group(m, q, n) for n in range(N + 1)]
-    for B in cg.bar_fi_modules(groups, jmax):
-        for lev in range(N):
-            for t in range(lev + 1):
-                sigma = fi_core.insertion_permutation(lev, t)
-                ref = np.arange(B.dims[lev + 1])
+    ins = cg.bar_fi_modules(groups, jmax)
+    for lev in range(N):
+        G, H = groups[lev], groups[lev + 1]
+        emb = np.broadcast_to(np.eye(lev + 1, dtype=np.int64),
+                              (G.order, lev + 1, lev + 1)).copy()
+        emb[:, :lev, :lev] = G.mats
+        incl = H.indices_of(emb)
+        trans = []
+        for i in range(lev):
+            sw = list(range(lev + 1))
+            sw[i], sw[i + 1] = i + 1, i
+            trans.append(H.indices_of(H.mats[:, sw][:, :, sw]))
+        for t in range(lev + 1):
+            sigma = fi_core.insertion_permutation(lev, t)
+            for j in range(jmax + 1):
+                ref = cg._diagonal_extension(incl, j, H.order)
                 for i in fi_core.adjacent_factorization(sigma):
-                    ref = B.trans[lev + 1][i][ref]
-                assert (B.insertion_indices(lev, t)
-                        == ref[B.incl[lev + 1]]).all()
+                    ref = cg._diagonal_extension(trans[i], j, H.order)[ref]
+                assert (ins[j][lev][t] == ref).all()
+
+
+def test_hyper_guard_fires_before_allocating():
+    # degree 3 holds the 512^3 bar chains of level 3, far over the cap;
+    # the guard must fire before any tuple-level array is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(sb.FeasibilityError):
+            cg.hyper_fi_bar_homology(4, 2, 3, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 # the cross-check and the application ----------------------------------------
