@@ -368,20 +368,18 @@ class EquivariantInput:
         return errors
 
 
-def _face_action(faces: list[tuple[int, ...]], vmap: np.ndarray
+def _face_action(faces: np.ndarray, vmap: np.ndarray
                  ) -> tuple[list[int], list[int]]:
-    """Images and orientation signs of the faces under one vertex map."""
-    index = {f: i for i, f in enumerate(faces)}
-    img, sgn = [], []
-    for f in faces:
-        mapped = [int(vmap[v]) for v in f]
-        order = sorted(range(len(mapped)), key=lambda t: mapped[t])
-        img.append(index[tuple(mapped[t] for t in order)])
-        inversions = sum(1 for a in range(len(order))
-                         for b in range(a + 1, len(order))
-                         if order[a] > order[b])
-        sgn.append(-1 if inversions % 2 else 1)
-    return img, sgn
+    """Images and orientation signs of the faces under one vertex map:
+    the sign is the parity of the sort that puts each image in order."""
+    mapped = vmap[faces]
+    order = np.argsort(mapped, axis=1, kind="stable")
+    inversions = np.zeros(len(faces), dtype=np.int64)
+    for a, b in itertools.combinations(range(faces.shape[1]), 2):
+        inversions += order[:, a] > order[:, b]
+    img = splitbases.face_index(faces,
+                                np.take_along_axis(mapped, order, axis=1))
+    return img.tolist(), (1 - 2 * (inversions % 2)).tolist()
 
 
 def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
@@ -411,7 +409,7 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
     # group action on each face list
     facts = {b: [_face_action(faces[b], E.vertex_action[g])
                  for g in range(order)] for b in range(0, top + 1)}
-    bdry = {b: list(splitbases.boundary_columns(faces[b], faces[b - 1]))
+    bdry = {b: splitbases.sparse_boundary(faces[b], faces[b - 1])
             for b in range(0, top + 1)}
 
     def blocks(t: int) -> list[tuple[int, int, int]]:

@@ -8,8 +8,14 @@ isomorphism is checked explicitly.
 
 Every split-basis complex is built by one orbit builder, `spb_orbit`:
 the orbit of the standard split basis under a congruence kernel, which
-at the unit ideal is all of GL_n(Z/m).  Every chain complex on these
-complexes takes its boundary from `boundary_columns`.
+at the unit ideal is all of GL_n(Z/m); it labels the orbit with one int
+code per vertex and numbers the vertices by first appearance.
+
+A complex keeps its maximal simplices as frozensets and hands out its
+faces as memoised int arrays, rows in lexicographic order.  Every chain
+complex gets its boundary from those face arrays: `boundary_columns`
+finds each facet of a face by `face_index`, a binary search on
+prefix-index codes.
 
 Everything is enumerated exactly and guarded: group orders are capped at
 2^26, face counts at 2^24, and the dense integral boundary matrices at
@@ -19,8 +25,7 @@ Everything is enumerated exactly and guarded: group orders are capped at
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,7 +83,7 @@ def _batch_det(mats: np.ndarray) -> np.ndarray:
     rest = list(range(1, n))
     for j in range(n):
         cols = [c for c in range(n) if c != j]
-        minor = mats[:, rest][:, :, cols]
+        minor = mats[:, np.array(rest)[:, None], cols]
         term = mats[:, 0, j] * _batch_det(minor)
         total += term if j % 2 == 0 else -term
     return total
@@ -126,13 +131,17 @@ class CongruenceGroup:
         if count > GROUP_CAP:
             raise FeasibilityError(
                 f"kernel candidate count {count} exceeds the cap {GROUP_CAP}")
-        grids = np.indices((r,) * (n * n)).reshape(n * n, -1).T
-        cands = (np.eye(n, dtype=np.int64).ravel()[None, :]
-                 + q * grids.astype(np.int64)) % m
+        # candidate g has the digits g // r^(n*n-1-j) % r, entry j, built
+        # in place in one array of the final size
+        pw = r ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+        cands = np.arange(count, dtype=np.int64)[:, None] // pw
+        cands %= r
+        cands *= q
+        cands += np.eye(n, dtype=np.int64).ravel()
+        cands %= m
         cands = cands.reshape(-1, n, n)
-        dets = _batch_det(cands) % m
-        unit = np.array([math.gcd(int(d), m) == 1 for d in dets])
-        self.mats = cands[unit]
+        unit = np.gcd(_batch_det(cands), m) == 1
+        self.mats = cands if unit.all() else cands[unit]
         self._finish()
 
     def _finish(self):
@@ -148,21 +157,28 @@ class CongruenceGroup:
         self._inv_cache = None
 
     def _encode(self, mats: np.ndarray) -> np.ndarray:
+        """Codes of a stack of matrices, their entries reduced mod m one
+        entry position at a time, so that no reduced copy of the stack is
+        made."""
+        m = self.ring.m
         flat = mats.reshape(mats.shape[0], -1)
         if self._pows.dtype == object:
-            return np.array([int(np.dot(row.astype(object), self._pows))
+            return np.array([int(np.dot((row % m).astype(object), self._pows))
                              for row in flat], dtype=object)
-        return flat @ self._pows
+        codes = np.zeros(len(flat), dtype=np.int64)
+        for j, pw in enumerate(self._pows.tolist()):
+            codes += flat[:, j] % m * pw
+        return codes
 
     def index_of(self, mat: np.ndarray) -> int:
-        code = self._encode(np.asarray(mat, dtype=np.int64)[None] % self.ring.m)[0]
+        code = self._encode(np.asarray(mat, dtype=np.int64)[None])[0]
         i = int(np.searchsorted(self.codes, code))
         if i >= self.order or self.codes[i] != code:
             raise KeyError("matrix not in the group")
         return i
 
     def indices_of(self, mats: np.ndarray) -> np.ndarray:
-        codes = self._encode(mats % self.ring.m)
+        codes = self._encode(mats)
         idx = np.searchsorted(self.codes, codes)
         if (idx >= self.order).any() or (self.codes[idx] != codes).any():
             raise KeyError("some matrix not in the group")
@@ -178,8 +194,8 @@ class CongruenceGroup:
             return self._inv_cache
         if (q * q) % m == 0:
             # (I + qA)(2I - (I + qA)) = I - q^2 A^2 = I
-            inv_mats = (2 * np.eye(self.n, dtype=np.int64)[None]
-                        - self.mats) % m
+            inv_mats = -self.mats
+            inv_mats += 2 * np.eye(self.n, dtype=np.int64)
         else:
             inv_mats = _batch_inv_mod(self.mats, m)
         self._inv_cache = self.indices_of(inv_mats)
@@ -240,25 +256,55 @@ class SimplicialComplex:
     vertices: list          # hashable labels
     maximal: set            # frozensets of vertex indices
     name: str = ""
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def faces(self, k: int) -> list[tuple[int, ...]]:
-        """All k-dimensional faces, as sorted index tuples."""
+    def faces(self, k: int) -> np.ndarray:
+        """All k-dimensional faces, as a read-only (F, k + 1) int64 array
+        of sorted vertex indices, rows in lexicographic order.  Any k < 0
+        gives the augmentation cell () of a non-empty complex."""
+        if k not in self.cache:
+            self.cache[k] = self._enumerate(max(k, -1))
+        return self.cache[k]
+
+    def _enumerate(self, k: int) -> np.ndarray:
+        nv = len(self.vertices)
         if k < 0:
-            return [()] if self.maximal or self.vertices else []
-        out = set()
-        budget = FACE_CAP
-        for mx in self.maximal:
-            if len(mx) < k + 1:
-                continue
-            for f in itertools.combinations(sorted(mx), k + 1):
-                out.add(f)
-                if len(out) > budget:
+            out = np.zeros((1 if self.maximal or nv else 0, 0), dtype=np.int64)
+            out.flags.writeable = False
+            return out
+        # each k-face is keyed by the code index(f[:-1]) * nv + f[-1],
+        # below 2^48 under the caps; codes sort as the faces do
+        codes = np.zeros(0, dtype=np.int64)
+        for mx in self._maximal_arrays():
+            for pos in itertools.combinations(range(mx.shape[1]), k + 1):
+                rows = mx[:, pos]
+                new = rows[:, -1] if k == 0 else \
+                    face_index(self.faces(k - 1), rows[:, :-1]) * nv + rows[:, -1]
+                codes = _distinct(np.concatenate([codes, new]))
+                if len(codes) > FACE_CAP:
                     raise FeasibilityError(
                         f"more than {FACE_CAP} faces in dimension {k}")
-        return sorted(out)
+        if k == 0:
+            out = codes[:, None]
+        else:
+            out = np.column_stack([self.faces(k - 1)[codes // nv], codes % nv])
+        out.flags.writeable = False
+        return out
+
+    def _maximal_arrays(self) -> list[np.ndarray]:
+        """The maximal simplices as sorted rows, one array per size."""
+        if "maximal" not in self.cache:
+            by_size: dict[int, list] = {}
+            for mx in self.maximal:
+                by_size.setdefault(len(mx), []).append(mx)
+            self.cache["maximal"] = [np.sort(np.fromiter(
+                itertools.chain.from_iterable(group), dtype=np.int64,
+                count=size * len(group)).reshape(len(group), size), axis=1)
+                for size, group in sorted(by_size.items())]
+        return self.cache["maximal"]
 
     def f_vector(self, upto: int | None = None) -> list[int]:
-        top = max((len(mx) for mx in self.maximal), default=0) - 1
+        top = self.dimension()
         if upto is not None:
             top = min(top, upto)
         return [len(self.faces(k)) for k in range(top + 1)]
@@ -281,24 +327,79 @@ class SimplicialComplex:
         def detuple(x):
             return tuple(detuple(y) for y in x) if isinstance(x, list) else x
 
+        if not isinstance(doc["vertices"], list) \
+                or not isinstance(doc["maximal"], list):
+            raise ValueError("vertices and maximal must be lists")
         verts = [detuple(v) for v in doc["vertices"]]
-        maximal = {frozenset(mx) for mx in doc["maximal"]}
+        maximal = set()
+        for mx in doc["maximal"]:
+            if not isinstance(mx, list) or not mx:
+                raise ValueError(
+                    f"maximal simplex {mx!r} is not a non-empty list")
+            for v in mx:
+                if type(v) is not int or not 0 <= v < len(verts):
+                    raise ValueError(f"vertex index {v!r} is not an int in "
+                                     f"range({len(verts)})")
+            maximal.add(frozenset(mx))
         return SimplicialComplex(verts, maximal)
 
 
-def _labelled_complex(simplices, shape: tuple[int, int], name: str
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted distinct values; np.unique takes about 15 times longer on
+    these arrays."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def face_index(faces: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index in the face array `faces` (distinct rows in lexicographic
+    order) of each row of `rows`; every row must occur in `faces`.
+
+    Column by column, each prefix is keyed by index(prefix[:-1]) * nv +
+    prefix[-1], index() being its rank among the distinct shorter
+    prefixes of `faces`; the keys sort as the prefixes do, so one binary
+    search per column finds every row.
+    """
+    if faces.shape[1] == 0:
+        return np.zeros(len(rows), dtype=np.int64)
+    nv = int(max(faces.max(initial=0), rows.max(initial=0))) + 1
+    keys, query = faces[:, 0], rows[:, 0]
+    for j in range(1, faces.shape[1]):
+        fresh = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        query = np.searchsorted(keys[fresh], query) * nv + rows[:, j]
+        keys = (np.cumsum(fresh) - 1) * nv + faces[:, j]
+    return np.searchsorted(keys, query)
+
+
+def _labelled_complex(codes: np.ndarray, label, name: str
                       ) -> tuple[SimplicialComplex, np.ndarray]:
-    """The complex whose maximal simplices are the given label lists, its
-    vertices numbered by first appearance; ids[s, i] is the vertex of the
-    i-th label of simplex s."""
-    index: dict = {}
+    """The complex whose maximal simplices are the rows of `codes`, one
+    int code per vertex label, its vertices numbered by first appearance
+    in row-major order; label(s, i) is the label coded by codes[s, i].
+
+    `codes` is overwritten in place by the vertex ids, ids[s, i] the
+    vertex of codes[s, i], and returned as ids: the orbits are the
+    largest arrays here, and one copy fewer keeps their peak down.
+    """
+    _, first, inverse = np.unique(codes.ravel(), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    renumber = np.empty(len(first), dtype=np.int64)
+    renumber[order] = np.arange(len(first))
+    vertices = [label(*divmod(int(f), codes.shape[1])) for f in first[order]]
+    ids = codes
+    np.take(renumber, inverse.ravel(), out=ids.reshape(-1))
+    del inverse
+    # one int object per vertex, shared by every simplex, and a few rows
+    # at a time, for the same reason
+    pool = np.array(range(len(vertices)), dtype=object)
     maximal: set[frozenset] = set()
-    ids = np.empty(shape, dtype=np.int64)
-    for s, labels in enumerate(simplices):
-        row = [index.setdefault(lab, len(index)) for lab in labels]
-        ids[s] = row
-        maximal.add(frozenset(row))
-    return SimplicialComplex(list(index), maximal, name=name), ids
+    for lo in range(0, len(ids), 1 << 12):
+        maximal.update(map(frozenset, pool[ids[lo:lo + (1 << 12)]].tolist()))
+    return SimplicialComplex(vertices, maximal, name=name), ids
 
 
 def spb_orbit(G: CongruenceGroup) -> tuple[SimplicialComplex, np.ndarray]:
@@ -308,18 +409,25 @@ def spb_orbit(G: CongruenceGroup) -> tuple[SimplicialComplex, np.ndarray]:
     n = G.n
     if G.order * max(n, 1) > FACE_CAP:
         raise FeasibilityError("too many maximal simplices")
-    cols = G.mats.transpose(0, 2, 1)  # cols[h][i] = i-th column of h
-    rows = G.inverse_mats()            # rows[h][i] = i-th row of h^{-1}
+    m, q = G.ring.m, G.ring.q
+    r = m // q
+    inv = G.inverses()
+    # an entry x of a kernel element is q * (x // q) + (delta mod q), so a
+    # label is its digits x // q, base r, and its type i, which the label
+    # fixes when q > 1 and which is void when q = 1; the codes stay below
+    # n * r^(2n) <= 2^52 under GROUP_CAP and FACE_CAP
+    pw = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = np.empty((G.order, n), dtype=np.int64)
+    for i in range(n):
+        col = G.mats[:, :, i] // q @ pw
+        row = G.mats[inv, i, :] // q @ pw
+        codes[:, i] = ((i if q > 1 else 0) * r ** n + col) * r ** n + row
 
-    def simplices():
-        # one element at a time: the labels of the whole stack at once
-        # would double the peak memory of the largest complexes
-        for h in range(G.order):
-            c, r = cols[h].tolist(), rows[h].tolist()
-            yield [(tuple(c[i]), tuple(r[i])) for i in range(n)]
+    def label(h: int, i: int) -> tuple:
+        return (tuple(G.mats[h, :, i].tolist()),
+                tuple(G.mats[inv[h], i].tolist()))
 
-    return _labelled_complex(simplices(), (G.order, n),
-                             f"SPB_{n}(Z/{G.ring.m},{G.ring.q})")
+    return _labelled_complex(codes, label, f"SPB_{n}(Z/{m},{q})")
 
 
 def spb_complex(m: int, q: int, n: int, variant: str = "spb_modI"
@@ -433,8 +541,8 @@ def coset_complex(G: CongruenceGroup | TrivialGroupTower,
             idx = G.indices_of(prod)
             np.minimum(best, idx, out=best)
         coset_of[:, t] = best
-    simplices = (list(enumerate(row.tolist())) for row in coset_of)
-    return _labelled_complex(simplices, coset_of.shape,
+    return _labelled_complex(coset_of * n + np.arange(n),
+                             lambda h, t: (t, int(coset_of[h, t])),
                              f"coset(GL_{n}(Z/{m},{G.ring.q}))")[0]
 
 
@@ -491,7 +599,7 @@ def coset_spb_isomorphism(m: int, q: int, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _components(nverts: int, edges: list[tuple[int, ...]]) -> int:
+def _components(nverts: int, edges: np.ndarray) -> int:
     parent = list(range(nverts))
 
     def find(x):
@@ -500,22 +608,31 @@ def _components(nverts: int, edges: list[tuple[int, ...]]) -> int:
             x = parent[x]
         return x
 
-    for a, b in edges:
+    for a, b in edges.tolist():
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
     return len({find(x) for x in range(nverts)})
 
 
-def boundary_columns(faces_k: list[tuple[int, ...]],
-                     faces_km1: list[tuple[int, ...]]):
-    """The simplicial boundary of each face in `faces_k`, as a sparse
-    column of +-1 over `faces_km1`; vertices bound the augmentation cell
-    ()."""
-    index = {f: i for i, f in enumerate(faces_km1)}
-    for f in faces_k:
-        yield {index[f[:j] + f[j + 1:]]: -1 if j % 2 else 1
-               for j in range(len(f))}
+def boundary_columns(faces_k: np.ndarray, faces_km1: np.ndarray
+                     ) -> np.ndarray:
+    """The simplicial boundary of each face in `faces_k` over `faces_km1`,
+    as a facet-index array: out[c, j] is the index of face c without its
+    j-th vertex, whose coefficient is (-1)^j.  Vertices bound the
+    augmentation cell ()."""
+    F, w = faces_k.shape
+    facets = np.stack([np.delete(faces_k, j, axis=1) for j in range(w)],
+                      axis=1)
+    return face_index(faces_km1, facets.reshape(F * w, w - 1)).reshape(F, w)
+
+
+def sparse_boundary(faces_k: np.ndarray,
+                    faces_km1: np.ndarray) -> list[dict[int, int]]:
+    """`boundary_columns` as sparse columns of +-1."""
+    signs = [-1 if j % 2 else 1 for j in range(faces_k.shape[1])]
+    return [dict(zip(col, signs))
+            for col in boundary_columns(faces_k, faces_km1).tolist()]
 
 
 def reduced_betti(X: SimplicialComplex, p: int,
@@ -528,13 +645,6 @@ def reduced_betti(X: SimplicialComplex, p: int,
     exactlin._check_p(p)
     out = {}
     nv = len(X.vertices)
-    faces: dict[int, list] = {}
-
-    def get_faces(k: int) -> list:
-        if k not in faces:
-            faces[k] = X.faces(k)
-        return faces[k]
-
     rank_cache: dict[int, int] = {}
 
     def get_rank(k: int) -> int:
@@ -542,21 +652,20 @@ def reduced_betti(X: SimplicialComplex, p: int,
         if k in rank_cache:
             return rank_cache[k]
         if k == 0:
-            r = 1 if get_faces(0) else 0  # augmentation
+            r = 1 if len(X.faces(0)) else 0  # augmentation
         elif k == 1:
-            r = nv - _components(nv, get_faces(1))
+            r = nv - _components(nv, X.faces(1))
         else:
-            cols = list(boundary_columns(get_faces(k), get_faces(k - 1)))
-            r = exactlin.sparse_rank_modp(cols, len(get_faces(k - 1)), p)
+            cols = sparse_boundary(X.faces(k), X.faces(k - 1))
+            r = exactlin.sparse_rank_modp(cols, len(X.faces(k - 1)), p)
         rank_cache[k] = r
         return r
 
     for k in ks:
         if k < 0:
-            out[k] = 0 if get_faces(0) else 1
+            out[k] = 0 if len(X.faces(0)) else 1
             continue
-        ck = len(get_faces(k))
-        out[k] = ck - get_rank(k) - get_rank(k + 1)
+        out[k] = len(X.faces(k)) - get_rank(k) - get_rank(k + 1)
     return out
 
 
@@ -567,25 +676,25 @@ def integral_reduced_homology(X: SimplicialComplex,
     The boundaries are dense integer matrices, so each is guarded: one
     with more than FACE_CAP cells raises FeasibilityError.
     """
-    faces: dict[int, list] = {k: X.faces(k) for k in
-                              range(-1, X.dimension() + 2)}
+    faces = {k: X.faces(k) for k in range(-1, X.dimension() + 2)}
+    cells = {k: len(f) for k, f in faces.items()}
     # each boundary is guarded before any is built, and reduced once
     needed = sorted({d for k in ks for d in (k, k + 1)})
     for d in needed:
-        rows, cols = len(faces.get(d - 1, [])), len(faces.get(d, []))
+        rows, cols = cells.get(d - 1, 0), cells.get(d, 0)
         if rows * cols > FACE_CAP:
             raise FeasibilityError(
                 f"boundary matrix {rows} x {cols} in dimension {d} "
                 f"exceeds the cap {FACE_CAP}")
     snf = {}
     for d in needed:
-        fd, fd1 = faces.get(d, []), faces.get(d - 1, [])
-        D = np.zeros((len(fd1), len(fd)), dtype=np.int64)
-        for c, col in enumerate(boundary_columns(fd, fd1)):
-            for r, v in col.items():
-                D[r, c] = v
+        D = np.zeros((cells.get(d - 1, 0), cells.get(d, 0)), dtype=np.int64)
+        if D.size:
+            facets = boundary_columns(faces[d], faces[d - 1])
+            D[facets, np.arange(D.shape[1])[:, None]] = \
+                np.where(np.arange(d + 1) % 2, -1, 1)
         snf[d] = exactlin.smith_normal_form(D) if D.size else ()
-    return {k: (len(faces.get(k, [])) - len(snf[k]) - len(snf[k + 1]),
+    return {k: (cells.get(k, 0) - len(snf[k]) - len(snf[k + 1]),
                 tuple(d for d in snf[k + 1] if d > 1)) for k in ks}
 
 
@@ -647,19 +756,28 @@ def verify_spb_in_su(m: int, q: int, n: int, d: int | None = None) -> dict:
     lmax = n - d - 2
     SU = spb_complex(m, q, n, "su_modI")
     SPB = spb_complex(m, q, n, "spb_modI")
-    spb_index = {lab: i for i, lab in enumerate(SPB.vertices)}
+    # SU vertices renumbered by label: SPB's numbers first, then new ones
+    label_id = {lab: i for i, lab in enumerate(SPB.vertices)}
+    su_id = np.array([label_id.setdefault(lab, len(label_id))
+                      for lab in SU.vertices], dtype=np.int64)
     ok = True
     detail = {}
     for l in range(min(lmax, SU.dimension()) + 1):
-        su_faces = {frozenset(SU.vertices[v] for v in f)
-                    for f in SU.faces(l)}
-        spb_faces = {frozenset(SPB.vertices[v] for v in f)
-                     for f in SPB.faces(l)}
-        contained = su_faces <= spb_faces
+        su_faces = np.unique(np.sort(su_id[SU.faces(l)], axis=1), axis=0)
+        spb_faces = SPB.faces(l)
+        contained = _rows_occur(spb_faces, su_faces)
         detail[l] = {"su": len(su_faces), "spb": len(spb_faces),
                      "contained": contained}
         ok = ok and contained
     return {"lmax": lmax, "detail": detail, "all_contained": ok}
+
+
+def _rows_occur(faces: np.ndarray, rows: np.ndarray) -> bool:
+    """Is every row of `rows` a row of the face array `faces`?"""
+    if not len(faces):
+        return not len(rows)
+    at = np.minimum(face_index(faces, rows), len(faces) - 1)
+    return bool((faces[at] == rows).all())
 
 
 def _prime_factors(m: int) -> set[int]:

@@ -149,6 +149,25 @@ def test_spb_homology_integral(capsys):
     assert doc["outputs"]["integral"]["0"] == {"free": 3, "torsion": []}
 
 
+@pytest.mark.parametrize("maximal,flags", [
+    ([[0, 1], [1, 5]], ["--p", "2", "--k", "2"]),
+    ([[0, 1], [1, 5]], ["--p", "2"]),
+    ([[0, -1]], ["--integral"]),
+    ([[0, 1], []], ["--p", "2"]),
+    ([[0, True]], ["--p", "2"]),
+])
+def test_spb_homology_rejects_bad_complex_file(tmp_path, capsys, maximal,
+                                               flags):
+    # an index outside the vertex list, or an empty maximal simplex, is
+    # bad input (exit 2), never a homology answer or a traceback
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps({"kind": "simplicial", "vertices": ["a", "b"],
+                             "maximal": maximal}))
+    code, out, err = run(capsys, "spb", "homology", "--file", str(f), *flags)
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
 def test_cong_group_and_theoremC(capsys):
     code, out, _ = run(capsys, "cong", "group", "--m", "4", "--q", "2",
                        "--n", "2", "--json")

@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from fistab import splitbases as sb
+from fistab import exactlin, splitbases as sb
 
 
 # group enumeration vs a breadth-first closure oracle ---------------------------
@@ -249,6 +251,35 @@ def test_spb_orbit_vertex_action(m, q, n):
         assert (vid[table[g]] == moved[vid]).all()
 
 
+def first_appearance_orbit(G):
+    """Orbit labels one element at a time, numbered by a dict in order of
+    first appearance."""
+    cols, rows = G.mats.transpose(0, 2, 1), G.inverse_mats()
+    index, maximal = {}, set()
+    vid = np.empty((G.order, G.n), dtype=np.int64)
+    for h in range(G.order):
+        c, r = cols[h].tolist(), rows[h].tolist()
+        vid[h] = [index.setdefault((tuple(c[i]), tuple(r[i])), len(index))
+                  for i in range(G.n)]
+        maximal.add(frozenset(vid[h].tolist()))
+    return list(index), vid, maximal
+
+
+@pytest.mark.parametrize("m,q,n", [(4, 2, 2), (4, 2, 3), (9, 3, 2), (3, 1, 2),
+                                   (2 ** 30, 2 ** 29, 2)])
+def test_spb_orbit_matches_first_appearance_oracle(m, q, n):
+    # (3, 1, 2) is the full-ring `spb` complex; the last modulus has
+    # m^(2n) = 2^120, far past int64
+    G = sb.congruence_group(m, q, n)
+    X, vid = sb.spb_orbit(G)
+    vertices, want_vid, maximal = first_appearance_orbit(G)
+    assert X.vertices == vertices
+    assert (vid == want_vid).all()
+    assert X.maximal == maximal
+    if q == 1:
+        assert sb.spb_complex(m, q, n, "spb").maximal == maximal
+
+
 # coset complexes ----------------------------------------------------------------
 
 
@@ -318,6 +349,39 @@ def rp2():
         list(range(1, 7)), {frozenset(t - 1 for t in tri) for tri in tris})
 
 
+def test_faces_cap_and_memoised_roundtrip(monkeypatch):
+    X = rp2()
+    edges = X.faces(1)
+    assert len(edges) == 15 and X.faces(1) is edges
+    assert not edges.flags.writeable
+    assert X == sb.SimplicialComplex.decode(X.encode())
+    # rp2 has 6 vertices and 15 edges
+    monkeypatch.setattr(sb, "FACE_CAP", 10)
+    Y = rp2()
+    assert len(Y.faces(0)) == 6
+    with pytest.raises(sb.FeasibilityError):
+        Y.faces(1)
+
+
+def test_spb4_stage_peaks_stay_small():
+    # orbit, f-vector and H~_0 of SPB_4(Z/4,(2)), each stage under 32 MB
+    peaks = []
+    tracemalloc.start()
+    try:
+        X = sb.spb_complex(4, 2, 4, "spb_modI")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        fvec = X.f_vector()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        betti = sb.reduced_betti(X, 2, [0])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert fvec == [512, 24576, 131072, 65536] and betti == {0: 0}
+    assert max(peaks) < 32 << 20, [round(x / 2 ** 20, 1) for x in peaks]
+
+
 def test_integral_dense_boundary_guard(monkeypatch):
     # rp2: d_1 has 6 x 15 = 90 cells, d_2 has 15 x 10 = 150
     monkeypatch.setattr(sb, "FACE_CAP", 100)
@@ -354,6 +418,97 @@ def test_euler_characteristic_consistency():
         betti = sb.reduced_betti(X, 2, list(range(len(f))))
         chi_homology = sum((-1) ** k * betti[k] for k in range(len(f)))
         assert chi_faces == chi_homology
+
+
+# the set-and-dict route for faces, boundaries and homology, kept as the oracle
+
+
+def oracle_faces(X, k):
+    if k < 0:
+        return [()] if X.maximal or X.vertices else []
+    out = set()
+    for mx in X.maximal:
+        out.update(itertools.combinations(sorted(mx), k + 1))
+    return sorted(out)
+
+
+def oracle_boundary(faces_k, faces_km1):
+    index = {f: i for i, f in enumerate(faces_km1)}
+    return [{index[f[:j] + f[j + 1:]]: -1 if j % 2 else 1
+             for j in range(len(f))} for f in faces_k]
+
+
+def oracle_components(nverts, edges):
+    parent = list(range(nverts))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in range(nverts)})
+
+
+def oracle_betti(X, p, ks):
+    nv = len(X.vertices)
+
+    def rank(k):
+        if k == 0:
+            return 1 if oracle_faces(X, 0) else 0
+        if k == 1:
+            return nv - oracle_components(nv, oracle_faces(X, 1))
+        lower = oracle_faces(X, k - 1)
+        cols = oracle_boundary(oracle_faces(X, k), lower)
+        return exactlin.sparse_rank_modp(cols, len(lower), p)
+
+    return {k: (0 if oracle_faces(X, 0) else 1) if k < 0
+            else len(oracle_faces(X, k)) - rank(k) - rank(k + 1) for k in ks}
+
+
+def oracle_integral(X, ks):
+    faces = {k: oracle_faces(X, k) for k in range(-1, X.dimension() + 2)}
+    snf = {}
+    for d in sorted({d for k in ks for d in (k, k + 1)}):
+        fd, fd1 = faces.get(d, []), faces.get(d - 1, [])
+        D = np.zeros((len(fd1), len(fd)), dtype=np.int64)
+        for c, col in enumerate(oracle_boundary(fd, fd1)):
+            for r, v in col.items():
+                D[r, c] = v
+        snf[d] = exactlin.smith_normal_form(D) if D.size else ()
+    return {k: (len(faces.get(k, [])) - len(snf[k]) - len(snf[k + 1]),
+                tuple(d for d in snf[k + 1] if d > 1)) for k in ks}
+
+
+@st.composite
+def complexes(draw):
+    """Random complexes: mixed maximal sizes, vertex-only ones, vertices
+    in no simplex, and the empty complex."""
+    nv = draw(st.integers(0, 7))
+    size = draw(st.sampled_from([1, 5]))
+    simplices = draw(st.lists(
+        st.sets(st.integers(0, nv - 1), min_size=1, max_size=size),
+        max_size=8)) if nv else []
+    return sb.SimplicialComplex(list(range(nv)),
+                                {frozenset(s) for s in simplices})
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes())
+def test_face_arrays_match_set_route(X):
+    top = X.dimension()
+    ks = list(range(-2, top + 2))
+    for k in ks:
+        F = X.faces(k)
+        assert F.dtype == np.int64 and F.shape[1] == max(k + 1, 0)
+        assert [tuple(f) for f in F.tolist()] == oracle_faces(X, k)
+    for k in range(0, top + 2):
+        assert sb.sparse_boundary(X.faces(k), X.faces(k - 1)) \
+            == oracle_boundary(oracle_faces(X, k), oracle_faces(X, k - 1))
+    for p in (2, 3):
+        assert sb.reduced_betti(X, p, ks) == oracle_betti(X, p, ks)
+    assert sb.integral_reduced_homology(X, ks) == oracle_integral(X, ks)
 
 
 # verification entry points --------------------------------------------------------
