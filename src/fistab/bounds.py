@@ -93,8 +93,9 @@ def typeA_semiinduced(mu: int, d: int, k: int) -> dict:
 
 def config_bounds(dim: int, orientable: bool, k: int,
                   two_vector_fields: bool = False) -> dict:
-    """Bounds for cohomology of unordered configuration spaces of an
-    open manifold of the given dimension, in cohomological weight k."""
+    """Bounds for the FI-module n -> H^k(Conf_n(M)) of the ordered
+    configuration spaces of an open manifold M of the given dimension, in
+    cohomological weight k."""
     if dim < 2:
         raise ValueError("manifold dimension must be at least 2")
     mu = 2 if dim == 2 else 1

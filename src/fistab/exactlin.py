@@ -132,15 +132,21 @@ def nullity_modp(A, p: int) -> int:
     return A.shape[1] - rank_modp(A, p)
 
 
-def nullspace_modp(A, p: int) -> np.ndarray:
-    """Columns form a basis of ker(A) over F_p."""
+def kernel_basis_modp(A, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K, free): the columns of K are a basis of ker(A) over F_p, and
+    K[free] is the identity, so a vector x of ker(A) is K @ x[free]."""
     R, pivots = rref_modp(A, p)
     n = R.shape[1]
     free = np.delete(np.arange(n), pivots)
     K = np.zeros((n, free.size), dtype=np.int64)
     K[free, np.arange(free.size)] = 1
     K[pivots] = -R[:len(pivots), free] % p
-    return K
+    return K, free
+
+
+def nullspace_modp(A, p: int) -> np.ndarray:
+    """Columns form a basis of ker(A) over F_p."""
+    return kernel_basis_modp(A, p)[0]
 
 
 def solve_modp(A, B, p: int) -> np.ndarray:
@@ -163,10 +169,11 @@ def solve_modp(A, B, p: int) -> np.ndarray:
 def colspace_complement_projection(A, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Projection onto a complement of the column space of A.
 
-    Returns (proj, section): proj is q x m with proj @ A = 0 and
-    proj @ section = I_q, where q = m - rank(A).  Coordinates of the
-    quotient F_p^m / col(A) are the non-pivot rows of the column-reduced
-    form of A.
+    Returns (proj, free): proj is q x m with proj @ A = 0 and
+    proj[:, free] = I_q, where q = m - rank(A), so the standard basis
+    vectors at the rows `free` map onto a basis of F_p^m / col(A), and a
+    matrix X acts on the quotient as proj @ X[:, free].  Coordinates of
+    the quotient are the non-pivot rows of the column-reduced form of A.
     """
     A = asmod(A, p)
     m = A.shape[0]
@@ -177,9 +184,7 @@ def colspace_complement_projection(A, p: int) -> tuple[np.ndarray, np.ndarray]:
     # x[pc_k] R[k, f]
     proj = np.eye(m, dtype=np.int64)[free]
     proj[:, pivots] = -R[:len(pivots), free].T % p
-    section = np.zeros((m, free.size), dtype=np.int64)
-    section[free, np.arange(free.size)] = 1
-    return proj, section
+    return proj, free
 
 
 # ---------------------------------------------------------------------------

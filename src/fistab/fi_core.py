@@ -172,8 +172,9 @@ class FIModuleWindow:
     act: list[list[np.ndarray]]      # act[n][i]: s_i on level n, i <= n-2
     phi: list[np.ndarray | None]     # phi[n]: level n-1 -> level n; phi[0] None
     name: str = ""
-    # derived data (insertion maps, Koszul ranks) computed once per window;
-    # valid because a window's matrices are not mutated after construction
+    # derived data (insertion maps and their columns, Koszul ranks) computed
+    # once per window; valid because a window's matrices are not mutated
+    # after construction
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def perm_matrix(self, n: int, sigma) -> np.ndarray:
@@ -411,46 +412,48 @@ class FIMapWindow:
 
 def quotient_by_images(M: FIModuleWindow, images: list[np.ndarray],
                        name: str = "") -> FIModuleWindow:
-    """Quotient of M by the levelwise column spans (assumed invariant)."""
+    """Quotient of M by the levelwise column spans (assumed invariant).
+
+    The basis vectors at the rows `free` of each level map onto a basis
+    of the quotient, so a matrix X on M reads proj @ X[:, free] on it.
+    """
     p = M.p
-    projs, secs, dims = [], [], []
-    for n in range(M.N + 1):
-        pr, sec = exactlin.colspace_complement_projection(images[n], p)
-        projs.append(pr)
-        secs.append(sec)
-        dims.append(pr.shape[0])
-    act = []
-    phi: list[np.ndarray | None] = [None]
-    for n in range(M.N + 1):
-        mats = []
-        for i in range(n - 1):
-            mats.append(exactlin.matmul_modp(
-                projs[n], exactlin.matmul_modp(M.act[n][i], secs[n], p), p))
-        act.append(mats)
-        if n >= 1:
-            phi.append(exactlin.matmul_modp(
-                projs[n], exactlin.matmul_modp(M.phi[n], secs[n - 1], p), p))
+    projs, frees = zip(*(exactlin.colspace_complement_projection(images[n], p)
+                         for n in range(M.N + 1)))
+    dims = [pr.shape[0] for pr in projs]
+    act = [[exactlin.matmul_modp(projs[n], A[:, frees[n]], p)
+            for A in M.act[n]] for n in range(M.N + 1)]
+    phi: list[np.ndarray | None] = [None] + [
+        exactlin.matmul_modp(projs[n], M.phi[n][:, frees[n - 1]], p)
+        for n in range(1, M.N + 1)]
     return FIModuleWindow(p, M.N, dims, act, phi, name=name or f"quot({M.name})")
 
 
 def submodule_from_kernels(f: FIMapWindow, name: str = "") -> FIModuleWindow:
-    """The levelwise kernel of an equivariant map, as a module window."""
+    """The levelwise kernel of an equivariant map, as a module window.
+
+    Each kernel basis K is the identity on its rows `free`, so B = K @ X
+    forces X = B[free]; one product checks that B lies in the span of K,
+    and raises ValueError when it does not.
+    """
     M = f.source
     p = M.p
-    kers = [exactlin.nullspace_modp(f.mats[n], p) for n in range(M.N + 1)]
-    dims = [K.shape[1] for K in kers]
-    act = []
-    phi: list[np.ndarray | None] = [None]
-    for n in range(M.N + 1):
-        mats = []
-        for i in range(n - 1):
-            mats.append(exactlin.solve_modp(
-                kers[n], exactlin.matmul_modp(M.act[n][i], kers[n], p), p))
-        act.append(mats)
-        if n >= 1:
-            phi.append(exactlin.solve_modp(
-                kers[n], exactlin.matmul_modp(M.phi[n], kers[n - 1], p), p))
-    return FIModuleWindow(p, M.N, dims, act, phi, name=name or "ker")
+    kers = [exactlin.kernel_basis_modp(f.mats[n], p) for n in range(M.N + 1)]
+
+    def coords(n: int, B: np.ndarray) -> np.ndarray:
+        K, free = kers[n]
+        X = B[free]
+        if not (exactlin.matmul_modp(K, X, p) == B).all():
+            raise ValueError("inconsistent linear system mod p")
+        return X
+
+    act = [[coords(n, exactlin.matmul_modp(A, kers[n][0], p))
+            for A in M.act[n]] for n in range(M.N + 1)]
+    phi: list[np.ndarray | None] = [None] + [
+        coords(n, exactlin.matmul_modp(M.phi[n], kers[n - 1][0], p))
+        for n in range(1, M.N + 1)]
+    return FIModuleWindow(p, M.N, [K.shape[1] for K, _ in kers], act, phi,
+                          name=name or "ker")
 
 
 def cokernel_module(f: FIMapWindow, name: str = "") -> FIModuleWindow:
@@ -519,13 +522,16 @@ def observed_torsion(M: FIModuleWindow) -> tuple[bool, int]:
     p = M.p
     h0 = -1
     all_torsion = True
-    for n in range(M.N + 1):
+    # composite_phi(n, N), built from the top: one product per level
+    comp = np.eye(M.dims[M.N], dtype=np.int64)
+    for n in range(M.N, -1, -1):
+        if n < M.N:
+            comp = exactlin.matmul_modp(comp, M.phi[n + 1], p)
         if M.dims[n] == 0:
             continue
-        comp = M.composite_phi(n, M.N)
         nul = exactlin.nullity_modp(comp, p)
         if nul:
-            h0 = n
+            h0 = max(h0, n)
         if nul < M.dims[n]:
             all_torsion = False
     M.cache["torsion"] = (all_torsion, h0)

@@ -66,10 +66,15 @@ def koszul_columns(ins: list, n: int, k: int, stride: int):
 
 
 def _window_columns(M: FIModuleWindow, n: int, k: int):
-    """koszul_columns of the window M, 1 <= k <= n."""
+    """koszul_columns of the window M, 1 <= k <= n.  The column form of
+    the m + 1 insertion maps of level m = n - k is kept in M's cache, next
+    to the maps themselves, for every (n, k) with n - k = m."""
     m = n - k
-    ins = [exactlin.dense_to_columns(M.insertion_map(m, t))
-           for t in range(m + 1)]
+    ins = M.cache.get(("cols", m))
+    if ins is None:
+        ins = M.cache[("cols", m)] = [
+            exactlin.dense_to_columns(M.insertion_map(m, t))
+            for t in range(m + 1)]
     return koszul_columns(ins, n, k, M.dims[m + 1])
 
 

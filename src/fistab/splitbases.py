@@ -260,16 +260,17 @@ class SimplicialComplex:
 
     def faces(self, k: int) -> np.ndarray:
         """All k-dimensional faces, as a read-only (F, k + 1) int64 array
-        of sorted vertex indices, rows in lexicographic order.  Any k < 0
-        gives the augmentation cell () of a non-empty complex."""
+        of sorted vertex indices, rows in lexicographic order.  k = -1
+        gives the augmentation cell (), which every complex has, the
+        empty one too, and any k < -1 no face."""
         if k not in self.cache:
-            self.cache[k] = self._enumerate(max(k, -1))
+            self.cache[k] = self._enumerate(k)
         return self.cache[k]
 
     def _enumerate(self, k: int) -> np.ndarray:
         nv = len(self.vertices)
         if k < 0:
-            out = np.zeros((1 if self.maximal or nv else 0, 0), dtype=np.int64)
+            out = np.zeros((int(k == -1), 0), dtype=np.int64)
             out.flags.writeable = False
             return out
         # each k-face is keyed by the code index(f[:-1]) * nv + f[-1],
@@ -463,7 +464,8 @@ def _unimodular_pairs_modI(ring: FiniteModRing, n: int) -> list[tuple]:
     m, q = ring.m, ring.q
     r = m // q
     out = []
-    for i in range(n):
+    # mod the unit ideal every e_i is 0, so i = 0 already lifts every pair
+    for i in range(n if q > 1 else 1):
         e = np.zeros(n, dtype=np.int64)
         e[i] = 1
         for w in itertools.product(range(r), repeat=n):
@@ -640,7 +642,8 @@ def reduced_betti(X: SimplicialComplex, p: int,
     """Reduced Betti numbers over F_p in the requested dimensions.
 
     Dimension 0 uses the component count (exact over any field); higher
-    dimensions use exact boundary ranks.
+    dimensions use exact boundary ranks, and lower ones the augmentation
+    cell of `faces(-1)`, as `integral_reduced_homology` does.
     """
     exactlin._check_p(p)
     out = {}
@@ -651,7 +654,9 @@ def reduced_betti(X: SimplicialComplex, p: int,
         # rank of the boundary from k-faces to (k-1)-faces
         if k in rank_cache:
             return rank_cache[k]
-        if k == 0:
+        if k < 0:
+            r = 0
+        elif k == 0:
             r = 1 if len(X.faces(0)) else 0  # augmentation
         elif k == 1:
             r = nv - _components(nv, X.faces(1))
@@ -662,9 +667,6 @@ def reduced_betti(X: SimplicialComplex, p: int,
         return r
 
     for k in ks:
-        if k < 0:
-            out[k] = 0 if len(X.faces(0)) else 1
-            continue
         out[k] = len(X.faces(k)) - get_rank(k) - get_rank(k + 1)
     return out
 

@@ -125,11 +125,11 @@ def test_solve_inconsistent():
 @settings(max_examples=60, deadline=None)
 @given(matrices(max_side=5), st.sampled_from([2, 3, 5]))
 def test_colspace_projection_section(A, p):
-    proj, sec = exactlin.colspace_complement_projection(A, p)
+    proj, free = exactlin.colspace_complement_projection(A, p)
     q = A.shape[0] - exactlin.rank_modp(A, p)
     assert proj.shape == (q, A.shape[0])
     assert not (proj @ A % p).any()
-    assert (proj @ sec % p == np.eye(q, dtype=np.int64) % p).all()
+    assert (proj[:, free] % p == np.eye(q, dtype=np.int64) % p).all()
 
 
 # dense products -------------------------------------------------------------

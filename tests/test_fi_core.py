@@ -251,6 +251,89 @@ def test_kernel_cokernel_are_modules(p, N, seed):
             == f.source.dims[n]
 
 
+# kernels, quotients and torsion against the elimination and product routes ------
+
+
+def oracle_kernel(f):
+    """(dims, act, phi) of the kernel window, each coordinate matrix found
+    by `solve_modp` on the kernel basis."""
+    M, p = f.source, f.source.p
+    kers = [exactlin.nullspace_modp(F, p) for F in f.mats]
+    act = [[exactlin.solve_modp(kers[n], exactlin.matmul_modp(A, kers[n], p),
+                                p) for A in M.act[n]] for n in range(M.N + 1)]
+    phi = [None] + [exactlin.solve_modp(
+        kers[n], exactlin.matmul_modp(M.phi[n], kers[n - 1], p), p)
+        for n in range(1, M.N + 1)]
+    return [K.shape[1] for K in kers], act, phi
+
+
+def oracle_quotient(M, images):
+    """(dims, act, phi) of the quotient window, each matrix the product
+    proj @ X @ section with the section I[:, free] formed in full."""
+    p = M.p
+    projs, secs = [], []
+    for n in range(M.N + 1):
+        proj, free = exactlin.colspace_complement_projection(images[n], p)
+        projs.append(proj)
+        secs.append(np.eye(M.dims[n], dtype=np.int64)[:, free])
+
+    def through(n, X, m):
+        return exactlin.matmul_modp(
+            projs[n], exactlin.matmul_modp(X, secs[m], p), p)
+
+    act = [[through(n, A, n) for A in M.act[n]] for n in range(M.N + 1)]
+    phi = [None] + [through(n, M.phi[n], n - 1) for n in range(1, M.N + 1)]
+    return [P.shape[0] for P in projs], act, phi
+
+
+def oracle_torsion(M):
+    """observed_torsion with composite_phi formed afresh at every level."""
+    h0, all_torsion = -1, True
+    for n in range(M.N + 1):
+        if M.dims[n]:
+            nul = exactlin.nullity_modp(M.composite_phi(n, M.N), M.p)
+            h0 = n if nul else h0
+            all_torsion = all_torsion and nul == M.dims[n]
+    return all_torsion, h0
+
+
+def as_lists(dims, act, phi):
+    return (dims, [[A.tolist() for A in mats] for mats in act],
+            [None] + [P.tolist() for P in phi[1:]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(primes, st.integers(2, 6), st.integers(0, 2), st.integers(1, 3),
+       st.integers(0, 10**6))
+def test_kernel_quotient_torsion_match_oracles(p, N, gen, rel, seed):
+    rel = min(rel, N)
+    f = fi_core.random_induced_map(p, N, gen, rel, seed)
+    ker = fi_core.submodule_from_kernels(f)
+    assert as_lists(ker.dims, ker.act, ker.phi) == as_lists(*oracle_kernel(f))
+    cok = fi_core.cokernel_module(f)
+    assert as_lists(cok.dims, cok.act, cok.phi) \
+        == as_lists(*oracle_quotient(f.target, f.mats))
+    S = fi_core._shift_once(f.target)
+    D = fi_core.derivative(f.target)
+    assert as_lists(D.dims, D.act, D.phi) == as_lists(*oracle_quotient(
+        S, [f.target.phi[n + 1] for n in range(S.N + 1)]))
+    for M in (ker, cok, D, f.source, f.target):
+        assert fi_core.observed_torsion(M) == oracle_torsion(M)
+
+
+def test_kernel_of_a_non_equivariant_map_raises():
+    # the kernel of each level's map is the line of basis vector 0, which
+    # s_0 moves off it: coordinates in the kernel basis do not exist
+    p, N = 3, 3
+    M = fi_core.free_module(p, 1, N)
+    mats = [np.eye(M.dims[n], dtype=np.int64)[1:] for n in range(N + 1)]
+    f = fi_core.FIMapWindow(M, M, mats)
+    with pytest.raises(ValueError):
+        oracle_kernel(f)
+    with pytest.raises(ValueError):
+        fi_core.submodule_from_kernels(f)
+
+
 # shift and derivative -----------------------------------------------------------
 
 

@@ -335,6 +335,35 @@ def test_homology_full_simplex_and_empty():
     assert sb.reduced_betti(E, 2, [-1, 0]) == {-1: 1, 0: 0}
 
 
+def test_negative_degrees_agree_on_both_routes():
+    # () is the one face of the empty complex, so H~_{-1} = 1 there and 0
+    # on any complex with a vertex; no degree below -1 carries homology
+    E = sb.SimplicialComplex([], set())
+    ks = [-3, -2, -1, 0]
+    want = {-3: 0, -2: 0, -1: 1, 0: 0}
+    for p in (2, 3):
+        assert sb.reduced_betti(E, p, ks) == want
+        assert sb.reduced_betti(triangle_boundary(), p, ks) \
+            == {k: 0 for k in ks}
+    assert sb.integral_reduced_homology(E, ks) \
+        == {k: (v, ()) for k, v in want.items()}
+    assert [E.faces(k).shape for k in ks] == [(0, 0), (0, 0), (1, 0), (0, 1)]
+
+
+def test_su_modI_unit_ideal_lists_each_pair_once():
+    # mod the unit ideal every unimodular pair is a vertex, listed once
+    m, n = 3, 2
+    vecs = [np.array(v) for v in itertools.product(range(m), repeat=n)]
+    pairs = [(tuple(v), tuple(g)) for v in vecs for g in vecs
+             if int(g @ v) % m == 1]
+    edges = sum(sb._compatible(a, b, m)
+                for a, b in itertools.combinations(pairs, 2))
+    X = sb.spb_complex(m, 1, n, "su_modI")
+    assert len(set(X.vertices)) == len(X.vertices) == len(pairs) == 24
+    assert sorted(X.vertices) == sorted(pairs)
+    assert X.f_vector() == [24, edges]
+
+
 def test_homology_disjoint_points():
     X = sb.SimplicialComplex(list("abc"),
                              {frozenset([0]), frozenset([1]), frozenset([2])})
@@ -425,7 +454,7 @@ def test_euler_characteristic_consistency():
 
 def oracle_faces(X, k):
     if k < 0:
-        return [()] if X.maximal or X.vertices else []
+        return [()] if k == -1 else []
     out = set()
     for mx in X.maximal:
         out.update(itertools.combinations(sorted(mx), k + 1))
@@ -463,7 +492,10 @@ def oracle_betti(X, p, ks):
         cols = oracle_boundary(oracle_faces(X, k), lower)
         return exactlin.sparse_rank_modp(cols, len(lower), p)
 
-    return {k: (0 if oracle_faces(X, 0) else 1) if k < 0
+    # H~_{-1} is 1 only when () is the one face; nothing lies below it
+    return {k: 0 if k < -1
+            else int(bool(oracle_faces(X, -1)) and not oracle_faces(X, 0))
+            if k == -1
             else len(oracle_faces(X, k)) - rank(k) - rank(k + 1) for k in ks}
 
 
