@@ -100,49 +100,46 @@ def _cyclic_table(q: int) -> np.ndarray:
     return (a[:, None] + a[None, :]) % q
 
 
-def _bar_columns(table: np.ndarray, j: int, action: list | None = None,
-                 nb: int = 1):
-    """Bar boundaries from degree j >= 1 of the cells (g_1, ..., g_j) x c,
-    c < nb, as sparse integer columns in cell order: tuple encoded base
-    |G|, then c.
+def _bar_faces(table: np.ndarray, j: int, action=None, nb: int = 1
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The bar boundary from degree j >= 1 as (faces, signs): row
+    n * nb + c is the cell (g_1, ..., g_j) x c, c < nb, its tuple encoded
+    base |G| (g_1 most significant) as n, and faces[n * nb + c, i] is the
+    cell of its i-th face, with coefficient signs[n * nb + c, i].
 
     Coefficients are trivial when `action` is None; otherwise they form
-    the signed permutation module with action[g] = (images, signs) on the
-    nb coefficient cells, and the last face carries g_j acting on c.
+    the signed permutation module given by action = (images, signs), two
+    |G| x nb arrays: g sends coefficient cell c to sign * cell images[g, c].
+    The last face carries g_j acting on c.  Coincident faces are listed
+    separately; `exactlin.index_columns` sums them into dict columns.
     """
     order = len(table)
-    tab = table.tolist()
+    if action is None:
+        action = (np.broadcast_to(np.arange(nb), (order, nb)),
+                  np.ones((order, nb), dtype=np.int64))
     pw = [order ** e for e in range(j + 1)]
-    last = -1 if j % 2 else 1
-    for n, tup in enumerate(itertools.product(range(order), repeat=j)):
-        # n is the code of tup; the faces that keep c are cut from its
-        # digits once, for all coefficients
-        codes = [(n % pw[j - 1] * nb, 1)]
-        for i in range(1, j):
-            idx = ((n // pw[j - i + 1] * order + tab[tup[i - 1]][tup[i]])
-                   * pw[j - i - 1] + n % pw[j - i - 1])
-            codes.append((idx * nb, -1 if i % 2 else 1))
-        rest = n // order * nb
-        if action is not None:
-            img, sgn = action[tup[-1]]
-        for c in range(nb):
-            col: dict[int, int] = {}
-            for idx, s in codes:
-                col[idx + c] = col.get(idx + c, 0) + s
-            if action is None:
-                idx, s = rest + c, last
-            else:
-                idx, s = rest + img[c], last * sgn[c]
-            col[idx] = col.get(idx, 0) + s
-            yield col
+    n = np.arange(pw[j], dtype=np.int64)
+    digit = [n // pw[j - i] % order for i in range(1, j + 1)]   # g_1 .. g_j
+    codes = [n % pw[j - 1]]
+    for i in range(1, j):
+        merged = n // pw[j - i + 1] * order + table[digit[i - 1], digit[i]]
+        codes.append(merged * pw[j - i - 1] + n % pw[j - i - 1])
+    inner = np.stack(codes, axis=1)[:, None, :] * nb + np.arange(nb)[:, None]
+    images, twist = action
+    tail = (n // order * nb)[:, None] + images[digit[-1]]
+    tail_sign = (-1 if j % 2 else 1) * twist[digit[-1]]
+    faces = np.concatenate([inner, tail[:, :, None]], axis=2)
+    signs = np.broadcast_to(np.where(np.arange(j) % 2, -1, 1), inner.shape)
+    signs = np.concatenate([signs, tail_sign[:, :, None]], axis=2)
+    return faces.reshape(-1, j + 1), signs.reshape(-1, j + 1)
 
 
 def _bar_rank(table: np.ndarray, j: int, p: int) -> int:
     """Rank over F_p of the bar boundary from degree j to j - 1."""
     if j <= 0:
         return 0
-    return exactlin.sparse_rank_modp(list(_bar_columns(table, j)),
-                                     table.shape[0] ** (j - 1), p)
+    return exactlin.index_rank_modp(*_bar_faces(table, j),
+                                    table.shape[0] ** (j - 1), p)
 
 
 def _bar_cap(p: int) -> int:
@@ -368,18 +365,20 @@ class EquivariantInput:
         return errors
 
 
-def _face_action(faces: np.ndarray, vmap: np.ndarray
-                 ) -> tuple[list[int], list[int]]:
-    """Images and orientation signs of the faces under one vertex map:
-    the sign is the parity of the sort that puts each image in order."""
-    mapped = vmap[faces]
-    order = np.argsort(mapped, axis=1, kind="stable")
-    inversions = np.zeros(len(faces), dtype=np.int64)
+def _face_action(faces: np.ndarray, vmaps: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Images and orientation signs of the faces under each vertex map,
+    one row per map: the sign is the parity of the sort that puts each
+    image in order."""
+    mapped = vmaps[:, faces]
+    order = np.argsort(mapped, axis=2, kind="stable")
+    inversions = np.zeros(mapped.shape[:2], dtype=np.int64)
     for a, b in itertools.combinations(range(faces.shape[1]), 2):
-        inversions += order[:, a] > order[:, b]
-    img = splitbases.face_index(faces,
-                                np.take_along_axis(mapped, order, axis=1))
-    return img.tolist(), (1 - 2 * (inversions % 2)).tolist()
+        inversions += order[..., a] > order[..., b]
+    img = splitbases.face_index(
+        faces, np.take_along_axis(mapped, order, axis=2).reshape(
+            -1, faces.shape[1]))
+    return img.reshape(mapped.shape[:2]), 1 - 2 * (inversions % 2)
 
 
 def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
@@ -407,8 +406,8 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
     faces = {b: X.faces(b) for b in range(-1, top + 1)}
     cdims = {b: len(faces[b]) for b in range(-1, top + 1)}
     # group action on each face list
-    facts = {b: [_face_action(faces[b], E.vertex_action[g])
-                 for g in range(order)] for b in range(0, top + 1)}
+    facts = {b: _face_action(faces[b], E.vertex_action)
+             for b in range(0, top + 1)}
     bdry = {b: splitbases.sparse_boundary(faces[b], faces[b - 1])
             for b in range(0, top + 1)}
 
@@ -418,7 +417,8 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
                 for a in range(t + 2) if t - a <= top]
 
     def bar(a: int, b: int):
-        return _bar_columns(E.table, a, facts.get(b), cdims[b])
+        return exactlin.index_columns(
+            *_bar_faces(E.table, a, facts.get(b), cdims[b]))
 
     def simplicial(a: int, b: int):
         return fi_homology.tensor_identity(order ** a, bdry[b], cdims[b - 1])
@@ -507,8 +507,8 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
 
     def bar(r: int, j: int):
         lev = n - r
-        return fi_homology.tensor_identity(math.comb(n, r),
-                                           list(_bar_columns(tables[lev], j)),
+        cols = exactlin.index_columns(*_bar_faces(tables[lev], j))
+        return fi_homology.tensor_identity(math.comb(n, r), cols,
                                            orders[lev] ** (j - 1))
 
     return (dims[k] - fi_homology.total_rank(blocks, koszul, bar, k, p)

@@ -8,8 +8,10 @@ integer products exactly in any order (small products stay in int64
 there), and in Python ints beyond it.  The
 integer Smith normal form uses arbitrary-precision Python ints.  The two
 heavy paths are a vectorized dense elimination mod p and one sparse
-column reduction for large boundary matrices, which over GF(2) runs on
-Python-int bitsets.
+reduction for large boundary matrices.  Over odd p it reduces dict
+columns; over GF(2) it reduces Python-int bitsets.  Index arrays, where
+the caller has them (`index_rank_modp`), are packed straight into
+bitsets and reduced along their shorter side.
 """
 
 from __future__ import annotations
@@ -212,15 +214,38 @@ def columns_to_dense(columns: list, nrows: int, p: int) -> np.ndarray:
     return D
 
 
-def sparse_rank_modp(columns: list, nrows: int, p: int) -> int:
+def index_columns(faces: np.ndarray, signs) -> list[dict[int, int]]:
+    """The columns of an index array as row -> value dicts: column c has
+    coefficient signs[c, i] at row faces[c, i], `signs` broadcast against
+    `faces`, and coincident rows are summed."""
+    signs = np.broadcast_to(signs, faces.shape)
+    # one sign list for all columns when they share it, as every
+    # simplicial boundary and the bar with trivial coefficients do
+    if len(faces) and (signs == signs[0]).all():
+        same = signs[0].tolist()
+        cols = [dict(zip(rows, same)) for rows in faces.tolist()]
+    else:
+        cols = [dict(zip(rows, vals))
+                for rows, vals in zip(faces.tolist(), signs.tolist())]
+    ordered = np.sort(faces, axis=1)
+    for c in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+        cols[c] = {}
+        for r, v in zip(faces[c].tolist(), signs[c].tolist()):
+            cols[c][r] = cols[c].get(r, 0) + v
+    return cols
+
+
+def sparse_rank_modp(columns, nrows: int, p: int) -> int:
     """Rank of a column-sparse matrix over F_p.
 
     `columns[j]` maps row index -> integer coefficient, reduced mod p
-    here; for p = 2 it may also be a list of row indices, a repeated
-    index cancelling.  Left-to-right
-    reduction with a pivot table keyed on the lowest (largest-index)
+    here.  For p = 2 a column may also be a list of row indices, and
+    `columns` a 2d index array, one row of indices per column; a repeated
+    index cancels.  Over F_2 the matrix is reduced as Python-int bitsets,
+    an index array along its shorter side (`rank_gf2_from_columns`).
+    Over odd p the columns are reduced
+    left to right with a pivot table keyed on the lowest (largest-index)
     nonzero row, the same scheme used for boundary-matrix reduction.
-    Over F_2 each column is a Python-int bitset (`rank_gf2_from_columns`).
     """
     _check_p(p)
     if p == 2:
@@ -249,18 +274,52 @@ def sparse_rank_modp(columns: list, nrows: int, p: int) -> int:
     return rank
 
 
+def index_rank_modp(faces: np.ndarray, signs, nrows: int, p: int) -> int:
+    """Rank over F_p of the matrix of `index_columns(faces, signs)`, whose
+    signs are +-1.  Over F_2 every sign is 1, so the index array itself is
+    ranked; over odd p its dict columns are."""
+    if p == 2:
+        return sparse_rank_modp(faces, nrows, 2)
+    return sparse_rank_modp(index_columns(faces, signs), nrows, p)
+
+
 # ---------------------------------------------------------------------------
 # GF(2) bitsets: one Python int per row (or column), bit i for index i
 # ---------------------------------------------------------------------------
 
+# Largest byte buffer that `_pack_index_runs` fills at once.
+_PACK_BYTES = 1 << 20
+
+
+def _pack_index_runs(idx: np.ndarray, starts: np.ndarray, length: int):
+    """Yield one int of `length` bits per vector v, with bit i set when i
+    occurs an odd number of times in idx[starts[v]:starts[v + 1]].
+
+    Vectors are written a chunk at a time into one zeroed byte buffer of
+    at most _PACK_BYTES (XOR handles repeats) and read off it with
+    `int.from_bytes`, so only the ints handed out so far live on.
+    """
+    width = max(1, -(-length // 8))
+    per = max(1, _PACK_BYTES // width)
+    bits = np.left_shift(1, idx & 7).astype(np.uint8)
+    nvec = len(starts) - 1
+    for a in range(0, nvec, per):
+        b = min(a + per, nvec)
+        lo, hi = starts[a], starts[b]
+        owner = np.repeat(np.arange(b - a), np.diff(starts[a:b + 1]))
+        buf = np.zeros((b - a) * width, dtype=np.uint8)
+        np.bitwise_xor.at(buf, owner * width + (idx[lo:hi] >> 3),
+                          bits[lo:hi])
+        data = buf.tobytes()
+        for off in range(0, len(data), width):
+            yield int.from_bytes(data[off:off + width], "little")
+
 
 def pack_rows_gf2(rows, ncols: int) -> list[int]:
     """One int per row, with bit c set when c occurs an odd number of
-    times in the row.  A row is an index list (a 2d array gives one list
-    per row) or a dict index -> coefficient, whose even entries drop out.
+    times in the row.  A row is an index list or a dict index ->
+    coefficient, whose even entries drop out.
     """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
     packed = []
     for row in rows:
         x = 0
@@ -277,8 +336,9 @@ def pack_rows_gf2(rows, ncols: int) -> list[int]:
     return packed
 
 
-def rank_gf2_packed(M: list[int], ncols: int) -> int:
-    """Rank over GF(2) of the rows M, each an int of `ncols` bits.
+def rank_gf2_packed(M, ncols: int) -> int:
+    """Rank over GF(2) of the rows M, each an int of `ncols` bits; M may
+    be any iterable, consumed one row at a time.
 
     Each row is reduced against a table of earlier pivot rows keyed on
     their highest set bit, until it is zero or has a new highest bit.
@@ -306,9 +366,35 @@ def rank_gf2_dense(A) -> int:
 
 
 def rank_gf2_from_columns(columns, nrows: int) -> int:
-    """Rank over GF(2) of a matrix given by its columns, in any form
-    `pack_rows_gf2` takes; rank is symmetric, so columns pack as rows."""
-    return rank_gf2_packed(pack_rows_gf2(columns, nrows), nrows)
+    """Rank over GF(2) of a matrix given by its columns: a 2d index array
+    with one row of indices per column, or a list of index lists or dicts
+    as `pack_rows_gf2` takes; a repeated index cancels.
+
+    List columns are packed and reduced as they come.  Of a 2d index
+    array the shorter side is reduced: the rows when nrows < ncols, else
+    the columns.  Every vector beyond the rank has to be reduced to zero
+    before it is dropped, and the long side has more of them.  The array
+    is packed a chunk of vectors at a time and reduced one vector at a
+    time, so of it only the pivot table is held.
+    """
+    if not isinstance(columns, np.ndarray):
+        return rank_gf2_packed(pack_rows_gf2(columns, nrows), nrows)
+    ncols = len(columns)
+    if columns.ndim != 2:
+        raise ValueError("expected a 2d index array")
+    # numpy would wrap a negative index round silently
+    if columns.size and not (0 <= columns.min() and columns.max() < nrows):
+        raise ValueError(f"index out of range [0, {nrows})")
+    flat, per_col = columns.ravel(), columns.shape[1]
+    if nrows >= ncols:
+        return rank_gf2_packed(
+            _pack_index_runs(flat, np.arange(ncols + 1) * per_col, nrows),
+            nrows)
+    # the rows: sorting the entries by row index lists each row's columns
+    starts = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=nrows), out=starts[1:])
+    cols_of = np.argsort(flat, kind="stable") // per_col
+    return rank_gf2_packed(_pack_index_runs(cols_of, starts, ncols), ncols)
 
 
 # ---------------------------------------------------------------------------

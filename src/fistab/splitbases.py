@@ -632,9 +632,12 @@ def boundary_columns(faces_k: np.ndarray, faces_km1: np.ndarray
 def sparse_boundary(faces_k: np.ndarray,
                     faces_km1: np.ndarray) -> list[dict[int, int]]:
     """`boundary_columns` as sparse columns of +-1."""
-    signs = [-1 if j % 2 else 1 for j in range(faces_k.shape[1])]
-    return [dict(zip(col, signs))
-            for col in boundary_columns(faces_k, faces_km1).tolist()]
+    return exactlin.index_columns(boundary_columns(faces_k, faces_km1),
+                                  _boundary_signs(faces_k.shape[1]))
+
+
+def _boundary_signs(width: int) -> np.ndarray:
+    return np.where(np.arange(width) % 2, -1, 1)
 
 
 def reduced_betti(X: SimplicialComplex, p: int,
@@ -661,8 +664,9 @@ def reduced_betti(X: SimplicialComplex, p: int,
         elif k == 1:
             r = nv - _components(nv, X.faces(1))
         else:
-            cols = sparse_boundary(X.faces(k), X.faces(k - 1))
-            r = exactlin.sparse_rank_modp(cols, len(X.faces(k - 1)), p)
+            r = exactlin.index_rank_modp(
+                boundary_columns(X.faces(k), X.faces(k - 1)),
+                _boundary_signs(k + 1), len(X.faces(k - 1)), p)
         rank_cache[k] = r
         return r
 
@@ -693,8 +697,7 @@ def integral_reduced_homology(X: SimplicialComplex,
         D = np.zeros((cells.get(d - 1, 0), cells.get(d, 0)), dtype=np.int64)
         if D.size:
             facets = boundary_columns(faces[d], faces[d - 1])
-            D[facets, np.arange(D.shape[1])[:, None]] = \
-                np.where(np.arange(d + 1) % 2, -1, 1)
+            D[facets, np.arange(D.shape[1])[:, None]] = _boundary_signs(d + 1)
         snf[d] = exactlin.smith_normal_form(D) if D.size else ()
     return {k: (cells.get(k, 0) - len(snf[k]) - len(snf[k + 1]),
                 tuple(d for d in snf[k + 1] if d > 1)) for k in ks}

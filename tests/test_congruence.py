@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from fistab import congruence as cg
+from fistab import exactlin
 from fistab import fi_core, fi_homology, splitbases as sb
 
 
@@ -51,6 +52,64 @@ def symmetric_group_table(n):
         for j, b in enumerate(perms):
             tab[i, j] = index[tuple(a[b[x]] for x in range(n))]
     return tab
+
+
+def bar_reference(table, j, action=None, nb=1):
+    """Dense integer bar boundary from degree j >= 1, from the definition:
+    (g_1, ..., g_j) x c goes to (g_2, ..., g_j) x c
+    + sum_{0 < i < j} (-1)^i (..., g_i g_{i+1}, ...) x c
+    + (-1)^j (g_1, ..., g_{j-1}) x g_j c; cells tuple-major, then c."""
+    order = len(table)
+    lower = {t: i for i, t in
+             enumerate(itertools.product(range(order), repeat=j - 1))}
+    cells = list(itertools.product(range(order), repeat=j))
+    D = np.zeros((len(lower) * nb, len(cells) * nb), dtype=np.int64)
+    for n, g in enumerate(cells):
+        for c in range(nb):
+            col = n * nb + c
+            D[lower[g[1:]] * nb + c, col] += 1
+            for i in range(1, j):
+                merged = g[:i - 1] + (int(table[g[i - 1], g[i]]),) + g[i + 1:]
+                D[lower[merged] * nb + c, col] += (-1) ** i
+            img, sign = (c, 1) if action is None else \
+                (action[0][g[-1], c], action[1][g[-1], c])
+            D[lower[g[:-1]] * nb + img, col] += (-1) ** j * sign
+    return D
+
+
+def twisted_regular_action(table):
+    """g sends cell c to f(gc) f(c) (gc) for a fixed f: G -> +-1, the
+    regular permutation module conjugated by a diagonal sign matrix."""
+    f = np.where(np.arange(len(table)) % 3 == 1, -1, 1)
+    return table, f[table] * f[None, :]
+
+
+def test_bar_faces_match_definition():
+    cyc = cg._cyclic_table
+    groups = [cyc(q) for q in (2, 3, 4, 5)] + [
+        cg._product_table([cyc(2), cyc(2)]),
+        cg._product_table([cyc(3), cyc(3)]), symmetric_group_table(3)]
+    for table in groups:
+        order = len(table)
+        for action, nb in ((None, 1), (twisted_regular_action(table), order)):
+            prev = None
+            for j in range(1, 4):
+                faces, signs = cg._bar_faces(table, j, action, nb)
+                D = np.zeros((order ** (j - 1) * nb, order ** j * nb),
+                             dtype=np.int64)
+                np.add.at(D, (faces, np.arange(len(faces))[:, None]), signs)
+                assert (D == bar_reference(table, j, action, nb)).all()
+                C = np.zeros_like(D)
+                cols = exactlin.index_columns(faces, signs)
+                for c, col in enumerate(cols):
+                    for r, v in col.items():
+                        C[r, c] += v
+                assert (C == D).all()
+                if prev is not None:
+                    # d_{j-1} d_j = 0 over Z, so mod every p; the float64
+                    # product of these small integers is exact
+                    assert not (prev.astype(float) @ D).any()
+                prev = D
 
 
 def test_bar_cyclic_values():

@@ -269,6 +269,72 @@ def test_sparse_rank_gf2_matches_oracle(case):
     assert exactlin.sparse_rank_modp(cols, A.shape[0], 2) == rank_oracle(A, 2)
 
 
+@st.composite
+def gf2_index_arrays(draw):
+    """(index array, nrows, dense matrix over Z): the array has one row of
+    row indices per column, tall, wide or square, with repeats likely."""
+    short, long = draw(st.integers(1, 7)), draw(st.integers(1, 30))
+    nrows, ncols = draw(st.sampled_from([(long, short), (short, long),
+                                         (short, short)]))
+    width = draw(st.integers(0, 4))
+    A = np.array(draw(st.lists(
+        st.lists(st.integers(0, nrows - 1), min_size=width, max_size=width),
+        min_size=ncols, max_size=ncols)), dtype=np.int64).reshape(ncols, width)
+    dense = np.zeros((nrows, ncols), dtype=np.int64)
+    for c, rows in enumerate(A.tolist()):
+        for r in rows:
+            dense[r, c] += 1
+    return A, nrows, dense
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf2_index_arrays())
+def test_gf2_index_array_rank_matches_oracle(case):
+    A, nrows, dense = case
+    want = rank_oracle(dense, 2)
+    assert exactlin.rank_gf2_from_columns(A, nrows) == want
+    assert exactlin.sparse_rank_modp(A, nrows, 2) == want
+    assert exactlin.rank_gf2_from_columns(A.tolist(), nrows) == want
+    signs = np.where(np.arange(A.shape[1]) % 2, -1, 1)
+    signed = np.zeros_like(dense)
+    for c, rows in enumerate(A.tolist()):
+        for r, s in zip(rows, signs.tolist()):
+            signed[r, c] += s
+    for p in (2, 3):
+        assert exactlin.index_rank_modp(A, signs, nrows, p) \
+            == rank_oracle(signed, p)
+
+
+def test_gf2_pack_buffer_chunks(monkeypatch):
+    # vectors longer than the packing buffer, and many per buffer, in
+    # both orientations
+    rng = np.random.default_rng(3)
+    for nrows, ncols in ((40, 90), (200, 50)):
+        A = rng.integers(0, nrows, size=(ncols, 3))
+        dense = np.zeros((nrows, ncols), dtype=np.int64)
+        for c, rows in enumerate(A.tolist()):
+            for r in rows:
+                dense[r, c] += 1
+        for size in (1, 7, 1 << 20):
+            monkeypatch.setattr(exactlin, "_PACK_BYTES", size)
+            assert exactlin.rank_gf2_from_columns(A, nrows) \
+                == rank_oracle(dense, 2)
+
+
+@pytest.mark.parametrize("nrows", [3, 8])   # array rows, array columns reduced
+@pytest.mark.parametrize("bad", [-1, "nrows"])
+def test_gf2_index_out_of_range_raises(nrows, bad):
+    bad = nrows if bad == "nrows" else bad
+    A = np.array([[0, 1], [2, bad], [1, 1], [0, 2]], dtype=np.int64)
+    with pytest.raises(ValueError):
+        exactlin.rank_gf2_from_columns(A, nrows)
+    with pytest.raises(ValueError):
+        exactlin.rank_gf2_from_columns(A.tolist(), nrows)
+    dicts = [dict.fromkeys(c, 1) for c in A.tolist()]
+    with pytest.raises(ValueError):
+        exactlin.rank_gf2_from_columns(dicts, nrows)
+
+
 def test_rank_modp_gf2_above_dense_threshold():
     # A = L D U with L, U unit triangular and D a 0/1 diagonal with r
     # ones has rank exactly r; float64 products of 0/1 entries this
