@@ -8,7 +8,8 @@ integer products exactly in any order (small products stay in int64
 there), and in Python ints beyond it.  The
 integer Smith normal form uses arbitrary-precision Python ints.  The two
 heavy paths are a vectorized dense elimination mod p and one sparse
-reduction for large boundary matrices.  Over odd p it reduces dict
+reduction for large boundary matrices, which can report the rank of each
+of several leading blocks of columns.  Over odd p it reduces dict
 columns; over GF(2) it reduces Python-int bitsets.  Index arrays, where
 the caller has them (`index_rank_modp`), are packed straight into
 bitsets and reduced along their shorter side.
@@ -17,7 +18,9 @@ bitsets and reduced along their shorter side.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -235,6 +238,10 @@ def index_columns(faces: np.ndarray, signs) -> list[dict[int, int]]:
     return cols
 
 
+# The one count of a plain rank: more columns than any matrix has.
+_ALL = (sys.maxsize,)
+
+
 def sparse_rank_modp(columns, nrows: int, p: int) -> int:
     """Rank of a column-sparse matrix over F_p.
 
@@ -242,36 +249,57 @@ def sparse_rank_modp(columns, nrows: int, p: int) -> int:
     here.  For p = 2 a column may also be a list of row indices, and
     `columns` a 2d index array, one row of indices per column; a repeated
     index cancels.  Over F_2 the matrix is reduced as Python-int bitsets,
-    an index array along its shorter side (`rank_gf2_from_columns`).
-    Over odd p the columns are reduced
-    left to right with a pivot table keyed on the lowest (largest-index)
-    nonzero row, the same scheme used for boundary-matrix reduction.
+    an index array along its shorter side (`rank_gf2_from_columns`); over
+    odd p it is the single-count case of `sparse_prefix_ranks`.
     """
     _check_p(p)
     if p == 2:
         return rank_gf2_from_columns(columns, nrows)
+    return sparse_prefix_ranks(columns, nrows, p, _ALL)[0]
+
+
+def sparse_prefix_ranks(columns, nrows: int, p: int, counts) -> list[int]:
+    """The rank over F_p of the first c columns, for each c of the
+    ascending `counts`, from one left-to-right reduction.
+
+    `columns` is an iterable of dict columns, as `sparse_rank_modp` takes
+    them, or over F_2 of index lists.  Over odd p each column is reduced
+    against a pivot table keyed on the lowest (largest-index) nonzero
+    row, the scheme used for boundary-matrix reduction, and no column is
+    read past the last count or once the rank reaches nrows.  Over F_2
+    the columns are packed by `pack_rows_gf2` and reduced by
+    `_gf2_prefix_ranks`.  Every count from the one that reaches rank
+    nrows on reads nrows.
+    """
+    _check_p(p)
+    if p == 2:
+        return _gf2_prefix_ranks(pack_rows_gf2(columns, nrows), nrows, counts)
     pivot: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in columns:
-        col = {r: v % p for r, v in col.items() if v % p}
-        while col:
-            low = max(col)
-            piv = pivot.get(low)
-            if piv is None:
-                inv = pow(col[low], -1, p)
-                pivot[low] = {r: (v * inv) % p for r, v in col.items()}
-                rank += 1
-                break
-            f = col[low]
-            for r, v in piv.items():
-                w = (col.get(r, 0) - f * v) % p
-                if w:
-                    col[r] = w
-                else:
-                    col.pop(r, None)
-        if rank == nrows:
-            break
-    return rank
+    cols = iter(columns)
+    ranks, done = [], 0
+    for c in counts:
+        if len(pivot) < nrows:
+            for col in itertools.islice(cols, c - done):
+                col = {r: v % p for r, v in col.items() if v % p}
+                while col:
+                    low = max(col)
+                    piv = pivot.get(low)
+                    if piv is None:
+                        inv = pow(col[low], -1, p)
+                        pivot[low] = {r: (v * inv) % p for r, v in col.items()}
+                        break
+                    f = col[low]
+                    for r, v in piv.items():
+                        w = (col.get(r, 0) - f * v) % p
+                        if w:
+                            col[r] = w
+                        else:
+                            col.pop(r, None)
+                if len(pivot) == nrows:
+                    break
+        done = c
+        ranks.append(len(pivot))
+    return ranks
 
 
 def index_rank_modp(faces: np.ndarray, signs, nrows: int, p: int) -> int:
@@ -338,23 +366,36 @@ def pack_rows_gf2(rows, ncols: int) -> list[int]:
 
 def rank_gf2_packed(M, ncols: int) -> int:
     """Rank over GF(2) of the rows M, each an int of `ncols` bits; M may
-    be any iterable, consumed one row at a time.
+    be any iterable, consumed one row at a time."""
+    return _gf2_prefix_ranks(M, ncols, _ALL)[0]
+
+
+def _gf2_prefix_ranks(M, ncols: int, counts) -> list[int]:
+    """The rank over GF(2) of the first c rows of M, for each c of the
+    ascending `counts`, M as `rank_gf2_packed` takes it.
 
     Each row is reduced against a table of earlier pivot rows keyed on
     their highest set bit, until it is zero or has a new highest bit.
+    Once the rank reaches ncols no row is read.
     """
     pivots: dict[int, int] = {}
-    for x in M:
-        while x:
-            low = x.bit_length() - 1
-            y = pivots.get(low)
-            if y is None:
-                pivots[low] = x
-                break
-            x ^= y
-        if len(pivots) == ncols:
-            break
-    return len(pivots)
+    rows = iter(M)
+    ranks, done = [], 0
+    for c in counts:
+        if len(pivots) < ncols:
+            for x in itertools.islice(rows, c - done):
+                while x:
+                    low = x.bit_length() - 1
+                    y = pivots.get(low)
+                    if y is None:
+                        pivots[low] = x
+                        break
+                    x ^= y
+                if len(pivots) == ncols:
+                    break
+        done = c
+        ranks.append(len(pivots))
+    return ranks
 
 
 def rank_gf2_dense(A) -> int:

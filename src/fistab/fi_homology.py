@@ -2,7 +2,7 @@
 
 `koszul_columns` is the one generator of the subset-indexed Koszul
 boundary, as sparse columns; `koszul_rank` ranks them with
-`exactlin.sparse_rank_modp`, and `koszul_boundary` is their dense view.
+`exactlin.sparse_prefix_ranks`, and `koszul_boundary` is their dense view.
 `total_columns` and `total_rank` totalize a double complex given by its
 blocks and two column generators, with sign (-1)^x on the vertical map.
 They serve the hyper homology of complexes of windows here and both bar
@@ -15,10 +15,26 @@ using only levels below it, whose ranks are computed once per window.
 the S_n-span of the image of the level below (closed under the s_i,
 without insertion maps or Koszul signs), and H_1 from the rank table.
 `presentation_degrees` raises when the two H_0 profiles differ.
+
+The shifts Sigma^s M that the stable and local degrees are defined by
+are read off M's own reductions, without building a shifted window.
+Sigma^s M adds s points at the top, so its insertion maps are M's one
+level up: the map of level m missing t is M's map of level m + s missing
+t, for t <= m (`fi_core.shift` builds exactly these matrices).  So the
+evaluation-n Koszul complex of Sigma^s M is the part of M's
+evaluation-(n + s) complex on the subsets of [n]: a face of a subset of
+[n] is one, and its insertion map and sign are the same in both.
+Subsets are ordered colex, in which the subsets of [n] come first, so
+that part is a leading block: the first comb(n, k) * dims[n + s - k]
+columns of d_k, with support in its first comb(n, k - 1) *
+dims[n + s - k + 1] rows.  Its rank is the rank of those leading columns,
+and one left-to-right reduction of d_k (`exactlin.sparse_prefix_ranks`)
+gives it for every s at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,8 +43,8 @@ from math import comb
 import numpy as np
 
 from . import exactlin
-from .fi_core import (FIModuleWindow, FIMapWindow, WindowError,
-                      _shift_once, shift, derivative, observed_torsion)
+from .fi_core import (FIModuleWindow, FIMapWindow, WindowError, shift,
+                      derivative, observed_torsion)
 
 
 class InternalConsistencyError(Exception):
@@ -45,19 +61,39 @@ class FitError(Exception):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The k-subsets of [n], as increasing tuples, in colex order: by
+    largest element, then by the next largest, and so on.  Those of [n-1]
+    come first, then those containing n - 1."""
+    if k > n:
+        return ()
+    if k == 0:
+        return ((),)
+    return _colex(n - 1, k) + tuple(R + (n - 1,) for R in _colex(n - 1, k - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _colex_index(n: int, k: int) -> dict[tuple[int, ...], int]:
+    return {R: i for i, R in enumerate(_colex(n, k))}
+
+
 def koszul_columns(ins: list, n: int, k: int, stride: int):
     """Sparse columns of the boundary C_k -> C_{k-1} at evaluation n.
 
     C_k is one copy of level n-k per k-subset R of [n]; cells are ordered
-    by R, then by basis vector c.  Moving the j-th smallest element r out
-    of R applies the insertion map missing r - j (its rank within the
-    complement) and carries sign (-1)^j.  ins[t][c] is column c of the
-    level-(n-k) insertion map missing t, as a row -> value dict; stride
-    is the dimension of level n-k+1.
+    by R in colex order, then by basis vector c.  Moving the j-th smallest
+    element r out of R applies the insertion map missing r - j (its rank
+    within the complement) and carries sign (-1)^j.  ins[t][c] is column c
+    of the level-(n-k) insertion map missing t, as a row -> value dict;
+    stride is the dimension of level n-k+1.
+
+    In colex order the subsets of [n'] for n' < n come first, so the
+    columns of the subsets of [n'] form a leading block, and their faces
+    lie in the leading rows, those of the (k-1)-subsets of [n'].
     """
-    tgt_index = {R: i for i, R in
-                 enumerate(itertools.combinations(range(n), k - 1))}
-    for R in itertools.combinations(range(n), k):
+    tgt_index = _colex_index(n, k - 1)
+    for R in _colex(n, k):
         faces = [(tgt_index[R[:j] + R[j + 1:]] * stride, ins[r - j],
                   -1 if j % 2 else 1) for j, r in enumerate(R)]
         for c in range(len(ins[0])):
@@ -85,35 +121,46 @@ def koszul_boundary(M: FIModuleWindow, n: int, k: int) -> np.ndarray:
     return exactlin.columns_to_dense(cols, rows, M.p)
 
 
-def koszul_dims(M: FIModuleWindow, n: int) -> list[int]:
-    return [comb(n, k) * M.dims[n - k] for k in range(n + 1)]
+def koszul_dims(M: FIModuleWindow, n: int, s: int = 0) -> list[int]:
+    """dim C_k at evaluation n of the shift Sigma^s M, for 0 <= k <= n."""
+    return [comb(n, k) * M.dims[n + s - k] for k in range(n + 1)]
 
 
-def koszul_rank(M: FIModuleWindow, n: int, k: int) -> int:
-    """Rank of the boundary C_k -> C_{k-1} at evaluation n, computed once
-    per window."""
+def koszul_rank(M: FIModuleWindow, n: int, k: int, s: int = 0) -> int:
+    """Rank of the boundary C_k -> C_{k-1} at evaluation n of the shift
+    Sigma^s M: that of the columns of the subsets of [n] in M's boundary
+    at evaluation n + s (see the module docstring).  One reduction gives
+    it for every n and s of the same sum, kept in M's cache per
+    (n + s, k)."""
     if k < 1 or k > n:
         return 0
-    key = ("rank", n, k)
-    if key not in M.cache:
-        M.cache[key] = exactlin.sparse_rank_modp(
-            list(_window_columns(M, n, k)),
-            comb(n, k - 1) * M.dims[n - k + 1], M.p)
-    return M.cache[key]
+    m = n + s
+    key = ("ranks", m, k)
+    ranks = M.cache.get(key)
+    if ranks is None:
+        ranks = M.cache[key] = exactlin.sparse_prefix_ranks(
+            _window_columns(M, m, k), comb(m, k - 1) * M.dims[m - k + 1],
+            M.p, [comb(j, k) * M.dims[m - k] for j in range(m + 1)])
+    return ranks[n]
 
 
-def homology_at(M: FIModuleWindow, n: int, i_max: int) -> list[int]:
-    """dim H_i at evaluation n for 0 <= i <= i_max."""
-    dims = koszul_dims(M, n)
-    return [dims[i] - koszul_rank(M, n, i) - koszul_rank(M, n, i + 1)
+def homology_at(M: FIModuleWindow, n: int, i_max: int,
+                s: int = 0) -> list[int]:
+    """dim H_i at evaluation n of the shift Sigma^s M, for 0 <= i <= i_max."""
+    if not 0 <= s <= M.N - n:
+        raise WindowError(f"evaluation {n} of shift {s} is beyond window {M.N}")
+    dims = koszul_dims(M, n, s)
+    return [dims[i] - koszul_rank(M, n, i, s) - koszul_rank(M, n, i + 1, s)
             if i <= n else 0 for i in range(i_max + 1)]
 
 
-def homology_table(M: FIModuleWindow, i_max: int) -> list[list[int]]:
-    """table[i][n] = dim H_i at evaluation n, exact for every n <= N."""
-    table = [[0] * (M.N + 1) for _ in range(i_max + 1)]
-    for n in range(M.N + 1):
-        col = homology_at(M, n, i_max)
+def homology_table(M: FIModuleWindow, i_max: int,
+                   s: int = 0) -> list[list[int]]:
+    """table[i][n] = dim H_i at evaluation n of the shift Sigma^s M, exact
+    for every n <= N - s."""
+    table = [[0] * (M.N - s + 1) for _ in range(i_max + 1)]
+    for n in range(M.N - s + 1):
+        col = homology_at(M, n, i_max, s)
         for i in range(i_max + 1):
             table[i][n] = col[i]
     return table
@@ -187,23 +234,11 @@ def presentation_degrees(M: FIModuleWindow) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def is_semi_induced_window(M: FIModuleWindow) -> bool:
-    """True when every higher homology vanishes at every window level."""
-    return all(not any(homology_at(M, n, n)[1:]) for n in range(M.N + 1))
-
-
-def _shifted(M: FIModuleWindow, s: int) -> FIModuleWindow:
-    """shift(M, s), unnamed, from a chain of single shifts kept in M's cache.
-
-    The chain holds only the shifts, never M itself, so it forms no
-    reference cycle through M; `invariants` drops it when it returns.
-    """
-    if s == 0:
-        return M
-    chain = M.cache.setdefault("shifts", [])
-    while len(chain) < s:
-        chain.append(_shift_once(chain[-1] if chain else M))
-    return chain[s - 1]
+def is_semi_induced_window(M: FIModuleWindow, s: int = 0) -> bool:
+    """True when every higher homology of the shift Sigma^s M vanishes at
+    every level of its window."""
+    return all(not any(homology_at(M, n, n, s)[1:])
+               for n in range(M.N - s + 1))
 
 
 @dataclass
@@ -234,10 +269,7 @@ def stable_degree(M: FIModuleWindow) -> StableDegreeResult:
             break
         D = derivative(D)
 
-    t0s: list[int] = []
-    for s in range(M.N):
-        S = _shifted(M, s)
-        t0s.append(degree_of_profile(homology_table(S, 0)[0]))
+    t0s = [degree_of_profile(homology_table(M, 0, s)[0]) for s in range(M.N)]
     # only trust a shifted generation degree when the remaining window
     # extends at least one level past it, so the degree is not an artifact
     # of truncation
@@ -276,8 +308,7 @@ def local_degree(M: FIModuleWindow,
     if delta is None:
         delta = stable_degree(M).delta
     for s in range(M.N + 1):
-        S = _shifted(M, s)
-        if is_semi_induced_window(S):
+        if is_semi_induced_window(M, s):
             certified = delta is not None and (M.N - s) >= delta + 1
             return LocalDegreeResult(s - 1, certified, s + 1)
     return LocalDegreeResult(None, False, M.N + 1)
@@ -540,12 +571,9 @@ class InvariantReport:
 
 
 def invariants(M: FIModuleWindow) -> InvariantReport:
-    try:
-        t0, t1 = presentation_degrees(M)
-        sd = stable_degree(M)
-        ld = local_degree(M, sd.delta)
-    finally:
-        M.cache.pop("shifts", None)
+    t0, t1 = presentation_degrees(M)
+    sd = stable_degree(M)
+    ld = local_degree(M, sd.delta)
     _, h0 = observed_torsion(M)
     return InvariantReport(t0, t1, sd.delta, sd.certified, ld.hmax,
                            ld.certified, h0, is_semi_induced_window(M))

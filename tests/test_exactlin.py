@@ -351,6 +351,72 @@ def test_rank_modp_gf2_above_dense_threshold():
     assert exactlin.rank_modp(A, 2) == r
 
 
+# prefix ranks: one reduction, the rank of every leading block of columns ---
+
+
+@st.composite
+def prefix_cases(draw):
+    """(p, dict or index-list columns, dense matrix over Z, ascending
+    counts): wide shapes often reach full row rank before the last
+    column; counts repeat and may be 0 or exceed the column count."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 20))
+    A = np.array(draw(st.lists(
+        st.lists(st.integers(-4, 4), min_size=nrows, max_size=nrows),
+        min_size=ncols, max_size=ncols)), dtype=np.int64).reshape(ncols, nrows).T
+    cols = []
+    for j in range(ncols):
+        if p == 2 and draw(st.booleans()):
+            # the same column as an index list: odd entries once, and a
+            # cancelling pair for every even nonzero one
+            cols.append([i for i in range(nrows) if A[i, j] % 2]
+                        + [i for i in range(nrows) if A[i, j] and not A[i, j] % 2] * 2)
+        else:
+            cols.append({i: int(A[i, j]) for i in range(nrows) if A[i, j]})
+    counts = sorted(draw(st.lists(st.integers(0, ncols + 2), max_size=6)))
+    return p, cols, A, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix_cases())
+def test_sparse_prefix_ranks_match_every_prefix(case):
+    p, cols, A, counts = case
+    nrows = A.shape[0]
+    ranks = exactlin.sparse_prefix_ranks(cols, nrows, p, counts)
+    assert ranks == [exactlin.rank_modp(A[:, :c], p) for c in counts]
+    assert ranks == [rank_oracle(A[:, :c], p) if c and nrows else 0
+                     for c in counts]
+    # the single-count case, and every traced rank function hands back an
+    # int (the benchmark tracer sums them with int())
+    full = exactlin.sparse_rank_modp(cols, nrows, p)
+    assert type(full) is int and full == exactlin.rank_modp(A, p)
+    if p == 2:
+        packed = exactlin.pack_rows_gf2(cols, nrows)
+        assert type(exactlin.rank_gf2_packed(packed, nrows)) is int
+        assert type(exactlin.rank_gf2_from_columns(cols, nrows)) is int
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sparse_prefix_ranks_stop_at_full_rank(p):
+    # every count from the one that reaches rank nrows on reads nrows; over
+    # odd p no later column is read (the generator fails if one is), over
+    # F_2 the columns are all packed first
+    nrows = 4
+    full = [{i: 1, nrows - 1: p - 1} if i < nrows - 1 else {i: 1}
+            for i in range(nrows)]
+
+    def columns():
+        yield from full
+        if p == 2:
+            yield from full
+        else:
+            raise AssertionError("read a column past full rank")
+
+    assert exactlin.sparse_prefix_ranks(
+        columns(), nrows, p, [0, 0, 2, 4, 4, 9, 100]) == [0, 0, 2, 4, 4, 4, 4]
+    assert exactlin.sparse_prefix_ranks([], 0, p, [0, 3]) == [0, 0]
+
+
 # Smith normal form ---------------------------------------------------------
 
 

@@ -177,16 +177,26 @@ def test_invariants_repeatable(seed):
 
 
 def test_invariants_releases_shifted_windows(monkeypatch):
-    made = []
-    single_shift = fi_homology._shift_once
+    # the shift route reads M's own Koszul reductions, so the only shifted
+    # windows built are those inside the derivative route, one each, and
+    # none of them outlives the call
+    made, derivatives = [], []
+    single_shift = fi_core._shift_once
+    single_derivative = fi_core._derivative_once
 
     def recording(M):
         S = single_shift(M)
         made.append(weakref.ref(S))
         return S
 
-    monkeypatch.setattr(fi_homology, "_shift_once", recording)
-    M = fi_core.random_presented(3, 6, 2, 3, 8)
+    def counting(M):
+        derivatives.append(M.N)
+        return single_derivative(M)
+
+    monkeypatch.setattr(fi_core, "_shift_once", recording)
+    monkeypatch.setattr(fi_core, "_derivative_once", counting)
+    # stable degree 2: the derivative route takes three derivatives
+    M = fi_core.free_module(3, 2, 6)
     # with the collector off, only reference counting can free them, so a
     # reference cycle would keep them alive too
     gc.disable()
@@ -195,7 +205,7 @@ def test_invariants_releases_shifted_windows(monkeypatch):
         alive = [r for r in made if r() is not None]
     finally:
         gc.enable()
-    assert len(made) >= 2
+    assert len(made) == len(derivatives) >= 2
     assert alive == []
 
 
@@ -325,16 +335,22 @@ def test_local_degree_of_induced():
 # sparse Koszul columns and the totalizer against the dense assemblies ---------
 
 
+def colex(n, k):
+    """The k-subsets of [n] in colex order: sorted by their reversals."""
+    return sorted(itertools.combinations(range(n), k), key=lambda R: R[::-1])
+
+
 def oracle_koszul_boundary(M, n, k):
-    """Dense block assembly of C_k -> C_{k-1}: the face removing the j-th
-    smallest r of R is the insertion map missing r - j, sign (-1)^j."""
+    """Dense block assembly of C_k -> C_{k-1}, subsets in colex order: the
+    face removing the j-th smallest r of R is the insertion map missing
+    r - j, sign (-1)^j."""
     p = M.p
     if k < 1 or k > n:
         rows = math.comb(n, k - 1) * M.dims[n - k + 1] if k == n + 1 else 0
         return np.zeros((rows, 0), dtype=np.int64)
     m = n - k
-    src = list(itertools.combinations(range(n), k))
-    tgt = {R: i for i, R in enumerate(itertools.combinations(range(n), k - 1))}
+    src = colex(n, k)
+    tgt = {R: i for i, R in enumerate(colex(n, k - 1))}
     ds, dt = M.dims[m], M.dims[m + 1]
     D = np.zeros((len(tgt) * dt, len(src) * ds), dtype=np.int64)
     for c, R in enumerate(src):
@@ -444,7 +460,7 @@ def test_relation_map_is_doubled_koszul_d2(p, kind, seed):
     for n in range(2, M.N + 1):
         D, pairs = oracle_relation_map(M, n)
         K = fi_homology.koszul_boundary(M, n, 2)
-        index = {R: i for i, R in enumerate(itertools.combinations(range(n), 2))}
+        index = {R: i for i, R in enumerate(colex(n, 2))}
         w2 = M.dims[n - 2]
         for c, (a, b) in enumerate(pairs):
             i = index[min(a, b), max(a, b)]
@@ -470,3 +486,55 @@ def test_hyper_matches_dense_oracle(p, shifted, seed):
         for k in range(C.jmin, k_max + 1):
             want[k][n] = dims[k] - ranks[k] - ranks[k + 1]
     assert fi_homology.hyper_homology_table(C, k_max) == want
+
+
+# shifts read off the parent window's Koszul reductions -------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(primes, st.sampled_from(["presented", "kernel", "derivative"]),
+       st.integers(0, 500))
+def test_shift_homology_matches_built_shift(p, kind, seed):
+    # Sigma^s M's complex is the leading block of M's, so reading its
+    # ranks off M's reductions gives what the built shift gives
+    M = random_window(kind, p, seed)
+    for s in range(M.N + 1):
+        S = fi_core.shift(M, s)
+        assert (fi_homology.homology_table(M, M.N - s, s)
+                == fi_homology.homology_table(S, S.N))
+        assert (fi_homology.is_semi_induced_window(M, s)
+                == fi_homology.is_semi_induced_window(S))
+    with pytest.raises(fi_core.WindowError):
+        fi_homology.homology_at(M, 1, 0, M.N)
+    with pytest.raises(fi_core.WindowError):
+        fi_homology.homology_at(M, 0, 0, -1)
+
+
+# invariant report fields in asdict order, then the stable degree's shift
+# route and plateau and the local degree's shifts tried, as computed by
+# building every shifted window
+PINNED_INVARIANTS = [
+    (lambda: fi_core.random_presented(2, 7, 1, 2, 11),
+     (1, 2, -1, True, 1, True, 1, False), [1, 0, -1, -1, -1, -1, -1], 5, 3),
+    (lambda: fi_core.random_presented(3, 7, 2, 3, 12),
+     (2, 3, 0, True, 2, True, 2, False), [2, 1, 0, 0, 0, 0, 0], 5, 4),
+    (lambda: fi_core.derivative(fi_core.random_presented(5, 7, 2, 3, 13)),
+     (1, 2, -1, True, 1, True, 1, False), [1, 0, -1, -1, -1, -1], 4, 3),
+    (lambda: fi_core.submodule_from_kernels(
+        fi_core.random_induced_map(3, 6, 1, 2, 14)),
+     (3, 4, 2, True, 0, True, -1, False), [3, 2, 2, 2, 2, 1], 3, 2),
+    (lambda: fi_core.cokernel_module(fi_core.random_induced_map(2, 6, 2, 3, 15)),
+     (2, 3, 2, True, 2, True, 2, False), [2, 2, 2, 2, 2, 1], 4, 4),
+    (lambda: fi_core.torsion_point_module(3, 3, 7),
+     (3, 4, -1, True, 3, True, 3, False), [3, 2, 1, 0, -1, -1, -1], 3, 5),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_INVARIANTS)))
+def test_invariants_pinned(case):
+    build, report, shift_route, plateau, shifts_tried = PINNED_INVARIANTS[case]
+    assert tuple(fi_homology.invariants(build()).asdict().values()) == report
+    M = build()
+    sd = fi_homology.stable_degree(M)
+    assert (sd.shift_route, sd.plateau) == (shift_route, plateau)
+    assert fi_homology.local_degree(M, sd.delta).shifts_tried == shifts_tried
