@@ -218,28 +218,6 @@ def _product_table(tables: list[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _entry_basis(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n)]
-
-
-def _perm_on_entries(n: int, s: int) -> dict:
-    """Conjugation by the adjacent transposition (s, s+1) permutes the
-    matrix-entry basis by acting on both coordinates."""
-    def sw(x):
-        return s + 1 if x == s else s if x == s + 1 else x
-    return {(i, j): (sw(i), sw(j)) for i, j in _entry_basis(n)}
-
-
-def _permutation_matrix(basis: list, images: dict, signs: dict | None,
-                        p: int) -> np.ndarray:
-    index = {b: i for i, b in enumerate(basis)}
-    A = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    for b in basis:
-        sgn = 1 if signs is None else signs[b]
-        A[index[images[b]], index[b]] = sgn % p
-    return A
-
-
 def hk_fi_module(k: int, p: int, N: int) -> fi_core.FIModuleWindow:
     """The degree-k homology of the congruence kernels at Z/p^2 as a
     truncated FI-module, for k in {1, 2}.
@@ -249,14 +227,13 @@ def hk_fi_module(k: int, p: int, N: int) -> fi_core.FIModuleWindow:
     linear part for odd p.  The models are gated against the bar oracle
     at the first two levels before being returned.
     """
-    exactlin._check_p(p)
     if k not in (1, 2):
         raise ValueError("only k in {1, 2} is modelled")
     if N > 8:
         raise ValueError("window too large")
     bases: list[list] = []
     for n in range(N + 1):
-        ent = _entry_basis(n)
+        ent = [(i, j) for i in range(n) for j in range(n)]
         if k == 1:
             bases.append(ent)
         elif p == 2:
@@ -264,46 +241,27 @@ def hk_fi_module(k: int, p: int, N: int) -> fi_core.FIModuleWindow:
         else:
             bases.append([("w", a, b) for a in ent for b in ent if a < b]
                          + [("l", a) for a in ent])
-    dims = [len(b) for b in bases]
-    act, phi = [], [None]
-    for n in range(N + 1):
-        mats = []
-        for s in range(n - 1):
-            pe = _perm_on_entries(n, s)
-            if k == 1:
-                img = {a: pe[a] for a in bases[n]}
-                sg = None
-            elif p == 2:
-                img = {(a, b): tuple(sorted((pe[a], pe[b])))
-                       for a, b in bases[n]}
-                sg = None
-            else:
-                img, sg = {}, {}
-                for b in bases[n]:
-                    if b[0] == "l":
-                        img[b] = ("l", pe[b[1]])
-                        sg[b] = 1
-                    else:
-                        x, y = pe[b[1]], pe[b[2]]
-                        img[b] = ("w", x, y) if x < y else ("w", y, x)
-                        sg[b] = 1 if x < y else -1
-            mats.append(_permutation_matrix(bases[n], img, sg, p))
-        act.append(mats)
-        if n >= 1:
-            index = {b: i for i, b in enumerate(bases[n])}
-            F = np.zeros((dims[n], dims[n - 1]), dtype=np.int64)
-            for c, b in enumerate(bases[n - 1]):
-                F[index[b], c] = 1
-            phi.append(F)
-    M = fi_core.FIModuleWindow(p=p, N=N, dims=dims, act=act, phi=phi,
-                               name=f"H_{k}(ker GL(Z/{p * p}) -> GL(Z/{p}))")
+
+    def act(n: int, i: int, b):
+        # conjugation by s_i acts on both coordinates of a matrix entry
+        if k == 1:
+            return fi_core.transpose(i, b), 1
+        if p == 2:
+            return tuple(sorted(fi_core.transpose(i, e) for e in b)), 1
+        if b[0] == "l":
+            return ("l", fi_core.transpose(i, b[1])), 1
+        x, y = fi_core.transpose(i, b[1]), fi_core.transpose(i, b[2])
+        return (("w", x, y), 1) if x < y else (("w", y, x), -1)
+
+    M = fi_core.signed_permutation_window(
+        p, N, bases, act, name=f"H_{k}(ker GL(Z/{p * p}) -> GL(Z/{p}))")
     fi_core.assert_valid(M)
     for n in range(min(N, 2) + 1):
         G = splitbases.congruence_group(p * p, p, n)
         want = bar_homology_oracle(G, k, p)
-        if dims[n] != want:
+        if M.dims[n] != want:
             raise InternalConsistencyError(
-                f"model dim {dims[n]} at level {n} disagrees with the bar "
+                f"model dim {M.dims[n]} at level {n} disagrees with the bar "
                 f"oracle {want}")
     return M
 

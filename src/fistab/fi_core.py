@@ -7,6 +7,11 @@ inclusion.  All consistency identities (involution, braid, commutation,
 equivariance of the structure maps, and the two-step symmetry of composed
 structure maps) are checked by `validate`.
 
+Every closed-form window (constant, torsion point, induced, free, and
+the congruence homology modules) is a signed permutation module and is
+built by the one constructor `signed_permutation_window`, from basis
+labels and the signed action of each s_i on them.
+
 Points of [n] = {0, ..., n-1} are 0-indexed throughout; s_i swaps points
 i and i+1 for 0 <= i <= n-2.
 """
@@ -54,11 +59,6 @@ def adjacent_factorization(sigma: tuple[int, ...]) -> list[int]:
     return swaps
 
 
-def compose(sigma, tau) -> tuple[int, ...]:
-    """(sigma o tau)(x) = sigma(tau(x))."""
-    return tuple(sigma[t] for t in tau)
-
-
 def matrix_of_permutation(trans_mats: list[np.ndarray], sigma, p: int,
                           dim: int) -> np.ndarray:
     """Action matrix of an arbitrary permutation from the adjacent ones.
@@ -70,6 +70,11 @@ def matrix_of_permutation(trans_mats: list[np.ndarray], sigma, p: int,
     for i in adjacent_factorization(tuple(sigma)):
         out = exactlin.matmul_modp(trans_mats[i], out, p)
     return out
+
+
+def transpose(i: int, points) -> tuple[int, ...]:
+    """The points with i and i+1 exchanged: s_i applied to each."""
+    return tuple([i + 1 if x == i else i if x == i + 1 else x for x in points])
 
 
 def insertion_permutation(m: int, t: int) -> tuple[int, ...]:
@@ -103,9 +108,15 @@ def fb_zero(p: int, top: int) -> FBWindow:
                      for m in range(top + 1)])
 
 
+def _fb_holding(p: int, deg: int, top: int | None) -> FBWindow:
+    """The zero window up to top (default deg), to hold level deg >= 0."""
+    if deg < 0:
+        raise ValueError(f"degree {deg} must be >= 0")
+    return fb_zero(p, deg if top is None else top)
+
+
 def fb_trivial(p: int, deg: int, top: int | None = None) -> FBWindow:
-    top = deg if top is None else top
-    V = fb_zero(p, top)
+    V = _fb_holding(p, deg, top)
     V.dims[deg] = 1
     V.trans[deg] = [np.eye(1, dtype=np.int64)] * max(0, deg - 1)
     return V
@@ -113,21 +124,13 @@ def fb_trivial(p: int, deg: int, top: int | None = None) -> FBWindow:
 
 def fb_regular(p: int, deg: int, top: int | None = None) -> FBWindow:
     """The group algebra of S_deg as a left module over itself."""
-    top = deg if top is None else top
-    V = fb_zero(p, top)
+    V = _fb_holding(p, deg, top)
     perms = list(itertools.permutations(range(deg)))
     index = {s: k for k, s in enumerate(perms)}
     V.dims[deg] = len(perms)
-    mats = []
-    for i in range(deg - 1):
-        si = list(range(deg))
-        si[i], si[i + 1] = si[i + 1], si[i]
-        si = tuple(si)
-        A = np.zeros((len(perms), len(perms)), dtype=np.int64)
-        for s in perms:
-            A[index[compose(si, s)], index[s]] = 1
-        mats.append(A)
-    V.trans[deg] = mats
+    # s_i sends the basis vector s to s_i o s, which is transpose(i, s)
+    V.trans[deg] = [np.eye(len(perms), dtype=np.int64)[
+        :, [index[transpose(i, s)] for s in perms]] for i in range(deg - 1)]
     return V
 
 
@@ -176,9 +179,6 @@ class FIModuleWindow:
     # once per window; valid because a window's matrices are not mutated
     # after construction
     cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def perm_matrix(self, n: int, sigma) -> np.ndarray:
-        return matrix_of_permutation(self.act[n], sigma, self.p, self.dims[n])
 
     def insertion_map(self, m: int, t: int) -> np.ndarray:
         """Matrix of the order-preserving injection [m] -> [m+1] missing t.
@@ -266,24 +266,61 @@ def assert_valid(M: FIModuleWindow) -> None:
 # ---------------------------------------------------------------------------
 
 
+def signed_permutation_window(p: int, N: int, bases, act,
+                              name: str = "") -> FIModuleWindow:
+    """The window whose level n has the hashable basis labels bases[n].
+
+    act(n, i, label) returns (label', sign) with sign = +1 or -1: s_i
+    sends the basis vector `label` of level n to sign * label'.  The
+    structure map into level n sends each label of level n-1 to the same
+    label, or to 0 where level n lacks it.  Each matrix is scattered in
+    one indexed assignment; `validate` checks the identities.
+    """
+    exactlin._check_p(p)
+    if N < 0:
+        raise ValueError(f"window size N = {N} must be >= 0")
+    index = [{b: r for r, b in enumerate(bases[n])} for n in range(N + 1)]
+    dims = [len(ix) for ix in index]
+
+    def s_matrix(n: int, i: int) -> np.ndarray:
+        images = [act(n, i, b) for b in bases[n]]
+        try:
+            rows = [index[n][b] for b, _ in images]
+        except KeyError as exc:
+            raise ValueError(f"level {n}: s_{i} sends a label to "
+                             f"{exc.args[0]!r}, not a label of the level"
+                             ) from None
+        A = np.zeros((dims[n], dims[n]), dtype=np.int64)
+        A[rows, np.arange(dims[n])] = [sign % p for _, sign in images]
+        return A
+
+    def inclusion(n: int) -> np.ndarray:
+        cols = [c for c, b in enumerate(bases[n - 1]) if b in index[n]]
+        P = np.zeros((dims[n], dims[n - 1]), dtype=np.int64)
+        P[[index[n][bases[n - 1][c]] for c in cols], cols] = 1
+        return P
+
+    act_mats = [[s_matrix(n, i) for i in range(n - 1)] for n in range(N + 1)]
+    phi: list[np.ndarray | None] = [None] + [inclusion(n)
+                                             for n in range(1, N + 1)]
+    return FIModuleWindow(p, N, dims, act_mats, phi, name=name)
+
+
+def _fixed(n: int, i: int, label):
+    """The trivial action: every s_i fixes every label."""
+    return label, 1
+
+
 def constant_module(p: int, N: int) -> FIModuleWindow:
-    dims = [1] * (N + 1)
-    act = [[np.eye(1, dtype=np.int64)] * max(0, n - 1) for n in range(N + 1)]
-    phi: list[np.ndarray | None] = [None] + [np.eye(1, dtype=np.int64)] * N
-    return FIModuleWindow(p, N, dims, act, phi, name="constant")
+    return signed_permutation_window(p, N, [[0]] * (N + 1), _fixed,
+                                     name="constant")
 
 
 def torsion_point_module(p: int, m: int, N: int) -> FIModuleWindow:
     """One-dimensional trivial representation at level m, zero elsewhere."""
-    dims = [1 if n == m else 0 for n in range(N + 1)]
-    act = []
-    for n in range(N + 1):
-        d = dims[n]
-        act.append([np.eye(d, dtype=np.int64)] * max(0, n - 1))
-    phi: list[np.ndarray | None] = [None]
-    for n in range(1, N + 1):
-        phi.append(np.zeros((dims[n], dims[n - 1]), dtype=np.int64))
-    return FIModuleWindow(p, N, dims, act, phi, name=f"torsion_point({m})")
+    bases = [[0] if n == m else [] for n in range(N + 1)]
+    return signed_permutation_window(p, N, bases, _fixed,
+                                     name=f"torsion_point({m})")
 
 
 def induced_basis(V: FBWindow, n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -302,50 +339,41 @@ def induced_basis(V: FBWindow, n: int) -> list[tuple[tuple[int, ...], int]]:
     return basis
 
 
+def _signed_columns(A: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """(row, +1 or -1) of the one nonzero entry of each column of A mod p."""
+    A = A % p
+    rows = np.nonzero(A.T)[1]
+    if ((A != 0).sum(axis=0) != 1).any() or not np.isin(
+            A[rows, np.arange(A.shape[1])], (1, p - 1)).all():
+        raise ValueError("induced_module takes only FB blocks with one "
+                         "entry +1 or -1 in each column")
+    return [(int(r), 1 if A[r, c] == 1 else -1) for c, r in enumerate(rows)]
+
+
 def induced_module(V: FBWindow, N: int) -> FIModuleWindow:
     """Left adjoint of the forgetful functor, evaluated on the window.
 
     Level n has one basis vector per (j-subset A of [n], basis vector of
     level j of V); s_i acts by moving the subset and straightening the
     injection back to order-preserving form, which twists by an adjacent
-    transposition of V exactly when i and i+1 both lie in A.
+    transposition of V exactly when i and i+1 both lie in A.  Only
+    monomial V is taken: every column of every block of V must have one
+    nonzero entry, +1 or -1 mod p, or ValueError is raised.
     """
-    p = V.p
-    dims = []
-    bases = []
-    indexes = []
-    for n in range(N + 1):
-        b = induced_basis(V, n)
-        bases.append(b)
-        indexes.append({key: k for k, key in enumerate(b)})
-        dims.append(len(b))
-    act: list[list[np.ndarray]] = []
-    phi: list[np.ndarray | None] = [None]
-    for n in range(N + 1):
-        mats = []
-        for i in range(n - 1):
-            A = np.zeros((dims[n], dims[n]), dtype=np.int64)
-            for col, (sub, v) in enumerate(bases[n]):
-                if i in sub and i + 1 in sub:
-                    r = sub.index(i)
-                    blk = V.trans[len(sub)][r]
-                    for w in range(V.dims[len(sub)]):
-                        if blk[w, v] % p:
-                            A[indexes[n][(sub, w)], col] = blk[w, v] % p
-                else:
-                    moved = tuple(sorted(
-                        (i + 1 if x == i else i if x == i + 1 else x)
-                        for x in sub))
-                    A[indexes[n][(moved, v)], col] = 1
-            mats.append(A)
-        act.append(mats)
-        if n >= 1:
-            P = np.zeros((dims[n], dims[n - 1]), dtype=np.int64)
-            for col, (sub, v) in enumerate(bases[n - 1]):
-                P[indexes[n][(sub, v)], col] = 1
-            phi.append(P)
-    name = "induced"
-    return FIModuleWindow(p, N, dims, act, phi, name=name)
+    exactlin._check_p(V.p)  # before the blocks are read mod p
+    twist = [[_signed_columns(A, V.p) for A in mats] for mats in V.trans]
+
+    def act(n: int, i: int, label):
+        sub, v = label
+        if i in sub and i + 1 in sub:
+            w, sign = twist[len(sub)][sub.index(i)][v]
+            return (sub, w), sign
+        # at most one of i, i+1 lies in sub, so the moved subset stays sorted
+        return (transpose(i, sub), v), 1
+
+    return signed_permutation_window(
+        V.p, N, [induced_basis(V, n) for n in range(N + 1)], act,
+        name="induced")
 
 
 def free_module(p: int, m: int, N: int) -> FIModuleWindow:
@@ -560,28 +588,25 @@ def random_induced_map(p: int, N: int, gen_deg: int, rel_deg: int,
     W = fb_regular(p, rel_deg)
     tgt = induced_module(V, N)
     src = induced_module(W, N)
-    img = rng.integers(0, p, size=tgt.dims[rel_deg]).astype(np.int64)[:, None]
-
+    gens = induced_basis(V, rel_deg)
+    img = rng.integers(0, p, size=len(gens))
+    # the target is induced from trivial representations, so sigma only
+    # relabels: the basis vector (sub, sigma) of the source sends the
+    # entry (B, v) of img to (sub o sigma)(B), v
+    terms = [(B, v, int(c)) for (B, v), c in zip(gens, img) if c]
     perms = list(itertools.permutations(range(rel_deg)))
-    phi_w = np.zeros((tgt.dims[rel_deg], len(perms)), dtype=np.int64)
-    for k, s in enumerate(perms):
-        phi_w[:, [k]] = exactlin.matmul_modp(tgt.perm_matrix(rel_deg, s), img, p)
-
-    tgt_bases = [induced_basis(V, n) for n in range(N + 1)]
-    tgt_index = [{key: i for i, key in enumerate(b)} for b in tgt_bases]
     mats = []
     for n in range(N + 1):
-        F = np.zeros((tgt.dims[n], src.dims[n]), dtype=np.int64)
+        index = {key: r for r, key in enumerate(induced_basis(V, n))}
+        rows, cols, vals = [], [], []
         for col, (sub, k) in enumerate(induced_basis(W, n)):
-            vec = phi_w[:, k]
-            # push the level-rel_deg image along the order embedding onto sub
-            for row, (B, v) in enumerate(tgt_bases[rel_deg]):
-                c = int(vec[row]) % p
-                if c == 0:
-                    continue
-                moved = tuple(sorted(sub[x] for x in B))
-                F[tgt_index[n][(moved, v)], col] = (
-                    F[tgt_index[n][(moved, v)], col] + c) % p
+            for B, v, c in terms:
+                rows.append(index[(tuple(sorted(sub[perms[k][x]] for x in B)),
+                                   v)])
+                cols.append(col)
+                vals.append(c)
+        F = np.zeros((tgt.dims[n], src.dims[n]), dtype=np.int64)
+        F[rows, cols] = vals
         mats.append(F)
     return FIMapWindow(src, tgt, mats)
 
@@ -621,6 +646,8 @@ def decode(doc: dict) -> FIModuleWindow:
     p = int(doc["p"])
     exactlin._check_p(p)
     N = int(doc["N"])
+    if N < 0:
+        raise ValueError(f"window size N = {N} must be >= 0")
     levels = doc["levels"]
     if [lv["n"] for lv in levels] != list(range(N + 1)):
         raise ValueError("levels must be 0..N in order")

@@ -87,6 +87,23 @@ def test_construct_random_needs_seed(capsys):
     assert code == 2 and "seed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "fimod construct --kind constant --p 4 --N 2",
+    "fimod construct --kind constant --p 1 --N 2",
+    "fimod construct --kind constant --p 2 --N -1",
+    "cong hk --k 1 --p 2 --N -1",
+    "fimod construct --kind free --p 2 --N 3 --deg -1",
+    "fimod construct --kind random-presented --p 2 --N -1 --seed 1",
+    "cong appB --k 1 --p 2 --N -1",
+])
+def test_bad_sizes_are_usage_errors(capsys, argv):
+    # a non-prime modulus, a negative window or a negative degree is bad
+    # input (exit 2), never a window or a traceback
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
 def test_cong_hk_feeds_fimod(tmp_path, capsys):
     f = tmp_path / "h1.json"
     code, _, _ = run(capsys, "cong", "hk", "--k", "1", "--p", "2", "--N", "5",
@@ -105,6 +122,11 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "fimod", "invariants", str(tmp_path / "no"))
     assert code == 2
+    f.write_text(json.dumps({"kind": "fi_module", "p": 2, "N": -1,
+                             "levels": []}))
+    for cmd in ("validate", "invariants"):
+        code, out, err = run(capsys, "fimod", cmd, str(f))
+        assert code == 2 and out == "" and "error:" in err, cmd
 
 
 def test_fimod_commands_reject_invalid_window(tmp_path, capsys):

@@ -21,9 +21,7 @@ def test_adjacent_factorization_reconstructs(sigma):
     n = len(sigma)
     cur = tuple(range(n))
     for i in fi_core.adjacent_factorization(sigma):
-        s = list(range(n))
-        s[i], s[i + 1] = s[i + 1], s[i]
-        cur = fi_core.compose(tuple(s), cur)
+        cur = fi_core.transpose(i, cur)  # s_i o cur
     assert cur == sigma
 
 
@@ -78,6 +76,25 @@ def test_torsion_point_module():
     M = fi_core.torsion_point_module(3, 2, 5)
     assert fi_core.validate(M) == []
     assert M.dims == [0, 0, 1, 0, 0, 0]
+
+
+def test_signed_permutation_window_rejects_missing_label():
+    # s_0 sends the label "a" of level 2 to "c", which level 2 lacks
+    def act(n, i, label):
+        return ("c" if label == "a" else label), 1
+    with pytest.raises(ValueError, match="'c'"):
+        fi_core.signed_permutation_window(3, 3, [[], ["a"], ["a", "b"], []],
+                                          act)
+
+
+def test_induced_module_rejects_non_monomial_block():
+    # a valid involution over F_3 with two nonzero entries in its first column
+    V = fi_core.fb_zero(3, 2)
+    V.dims[2] = 2
+    V.trans[2] = [np.array([[1, 0], [1, 2]], dtype=np.int64)]
+    assert (V.trans[2][0] @ V.trans[2][0] % 3 == np.eye(2)).all()
+    with pytest.raises(ValueError):
+        fi_core.induced_module(V, 3)
 
 
 def test_validate_catches_broken_involution():
@@ -235,6 +252,14 @@ def test_direct_sum_valid(p, N):
 def test_random_induced_map_is_fi_map(p, N, seed):
     f = fi_core.random_induced_map(p, N, 1, 2, seed)
     assert f.validate() == []
+
+
+def test_random_induced_map_relations_beyond_window():
+    # relations in degree 4 do not reach a window of size 2: the map is
+    # zero there, and the presented module is its target
+    f = fi_core.random_induced_map(2, 2, 1, 4, 1)
+    assert f.validate() == [] and f.source.dims == [0, 0, 0]
+    assert [F.shape for F in f.mats] == [(d, 0) for d in f.target.dims]
 
 
 @settings(max_examples=12, deadline=None)
