@@ -112,7 +112,10 @@ def _fb_holding(p: int, deg: int, top: int | None) -> FBWindow:
     """The zero window up to top (default deg), to hold level deg >= 0."""
     if deg < 0:
         raise ValueError(f"degree {deg} must be >= 0")
-    return fb_zero(p, deg if top is None else top)
+    top = deg if top is None else top
+    if top < deg:
+        raise ValueError(f"window top {top} is below the degree {deg}")
+    return fb_zero(p, top)
 
 
 def fb_trivial(p: int, deg: int, top: int | None = None) -> FBWindow:

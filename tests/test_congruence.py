@@ -112,6 +112,24 @@ def test_bar_faces_match_definition():
                 prev = D
 
 
+def test_bar_ranks_match_dense_rref():
+    # every bar boundary is wide, so at odd p index_rank_modp ranks its
+    # reversed rows; the dense oracle reads the matrix of the definition
+    cyc = cg._cyclic_table
+    groups = [cyc(3), cyc(6), cg._product_table([cyc(3), cyc(3)]),
+              symmetric_group_table(3)]
+    for table in groups:
+        order = len(table)
+        for action, nb in ((None, 1), (twisted_regular_action(table), order)):
+            for j in range(1, 4):
+                if order ** j * nb > 2000:
+                    continue
+                faces, signs = cg._bar_faces(table, j, action, nb)
+                D = bar_reference(table, j, action, nb)
+                assert exactlin.index_rank_modp(
+                    faces, signs, len(D), 3) == len(exactlin.rref_modp(D, 3)[1])
+
+
 def test_bar_cyclic_values():
     for k in range(4):
         assert cg.bar_homology_oracle([2], k, 2) == 1

@@ -335,6 +335,81 @@ def test_gf2_index_out_of_range_raises(nrows, bad):
         exactlin.rank_gf2_from_columns(dicts, nrows)
 
 
+@pytest.mark.parametrize("nrows", [3, 8])   # rows reduced, columns reduced
+@pytest.mark.parametrize("bad", [-1, "nrows", "2 nrows - 1"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_odd_index_out_of_range_raises(nrows, bad, p):
+    # a reversed row label nrows-1-r would wrap a list index round
+    bad = {"nrows": nrows, "2 nrows - 1": 2 * nrows - 1}.get(bad, bad)
+    A = np.array([[0, 1], [2, bad], [1, 1], [0, 2]], dtype=np.int64)
+    with pytest.raises(ValueError, match="out of range"):
+        exactlin.index_rank_modp(A, np.array([1, -1]), nrows, p)
+    dicts = [dict(zip(c, (1, -1))) for c in A.tolist()]
+    with pytest.raises(ValueError, match="out of range"):
+        exactlin.sparse_rank_modp(dicts, nrows, p)
+    with pytest.raises(ValueError, match="out of range"):
+        exactlin.index_rank_modp(np.array([[-1]]), 1, 2, p)
+    with pytest.raises(ValueError, match="out of range"):
+        exactlin.sparse_rank_modp([{7: 1}], 2, p)
+
+
+@st.composite
+def odd_p_cases(draw):
+    """(p, dict columns, index array, signs, nrows, the dense matrices of
+    both over Z), wide, tall or square.  Dict entries may be zero or
+    repeat mod p and whole columns repeat; the index array repeats faces
+    and carries a sign per entry."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    short, long = draw(st.integers(0, 7)), draw(st.integers(0, 24))
+    nrows, ncols = draw(st.sampled_from([(long, short), (short, long),
+                                         (short, short)]))
+    A = np.zeros((nrows, ncols), dtype=np.int64)
+    cols = []
+    for j in range(ncols):
+        if cols and draw(st.booleans()):
+            col = dict(cols[draw(st.integers(0, len(cols) - 1))])
+        elif nrows:
+            col = draw(st.dictionaries(
+                st.integers(0, nrows - 1),
+                st.sampled_from([0, p, -p, 1, p + 1, -1, 2 * p - 1, 2]),
+                max_size=nrows))
+        else:
+            col = {}
+        for i, v in col.items():
+            A[i, j] = v
+        cols.append(col)
+    width = draw(st.integers(0, 4)) if nrows else 0
+    faces = np.array(draw(st.lists(
+        st.lists(st.integers(0, max(nrows - 1, 0)), min_size=width,
+                 max_size=width),
+        min_size=ncols, max_size=ncols)), dtype=np.int64).reshape(ncols, width)
+    signs = np.array(draw(st.lists(
+        st.lists(st.sampled_from([1, -1]), min_size=width, max_size=width),
+        min_size=ncols, max_size=ncols)), dtype=np.int64).reshape(ncols, width)
+    F = np.zeros((nrows, ncols), dtype=np.int64)
+    np.add.at(F, (faces, np.arange(ncols)[:, None]), signs)
+    return p, cols, faces, signs, nrows, A, F
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_p_cases())
+def test_odd_p_ranks_match_oracle(case):
+    # a wide matrix is ranked by its reversed rows, a tall or square one
+    # by its columns
+    p, cols, faces, signs, nrows, A, F = case
+    assert exactlin.sparse_rank_modp(cols, nrows, p) == rank_oracle(A, p)
+    assert exactlin.sparse_rank_modp(iter(cols), nrows, p) \
+        == rank_oracle(A, p)
+    assert exactlin.index_rank_modp(faces, signs, nrows, p) \
+        == rank_oracle(F, p)
+    # one sign list broadcast over every column
+    row_signs = signs[0] if len(signs) else np.ones(faces.shape[1], np.int64)
+    G = np.zeros_like(F)
+    np.add.at(G, (faces, np.arange(len(faces))[:, None]), row_signs)
+    assert exactlin.index_rank_modp(faces, row_signs, nrows, p) \
+        == rank_oracle(G, p)
+
+
 def test_rank_modp_gf2_above_dense_threshold():
     # A = L D U with L, U unit triangular and D a 0/1 diagonal with r
     # ones has rank exactly r; float64 products of 0/1 entries this

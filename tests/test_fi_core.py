@@ -97,6 +97,17 @@ def test_induced_module_rejects_non_monomial_block():
         fi_core.induced_module(V, 3)
 
 
+@pytest.mark.parametrize("fb", [fi_core.fb_trivial, fi_core.fb_regular])
+def test_fb_windows_reject_bad_sizes(fb):
+    # a window that ends below its degree has no level to hold it
+    with pytest.raises(ValueError, match="below the degree"):
+        fb(2, 3, 1)
+    with pytest.raises(ValueError, match=">= 0"):
+        fb(2, -1)
+    assert fb(2, 2, 2).dims == fb(2, 2).dims
+    assert fb(3, 1, 4).dims[1:] == [1, 0, 0, 0]
+
+
 def test_validate_catches_broken_involution():
     M = fi_core.free_module(2, 1, 4)
     M.act[2][0] = (M.act[2][0] + 1) % 2
