@@ -1,9 +1,10 @@
 """Command-line surface: `fistab`.
 
 Subcommand trees mirror the library modules one-to-one so verification
-runs are scriptable.  Exit codes: 0 success/verified, 1 violation or
-failed nonvanishing check, 2 usage or input error, 3 feasibility guard,
-4 internal inconsistency (two routes that must agree did not).
+runs are scriptable.  Exit codes: 0 success/verified, 1 violation,
+failed nonvanishing check or failed polynomial fit, 2 usage or input
+error or a window too short for the request, 3 feasibility guard, 4
+internal inconsistency (two routes that must agree did not).
 """
 
 from __future__ import annotations
@@ -73,12 +74,6 @@ def _report(args, outputs: dict, t0: float, verdict=None) -> dict:
     return rep
 
 
-def _load_module(path: str) -> fi_core.FIModuleWindow:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return fi_core.decode(doc)
-
-
 # ---------------------------------------------------------------------------
 # fimod
 # ---------------------------------------------------------------------------
@@ -86,7 +81,7 @@ def _load_module(path: str) -> fi_core.FIModuleWindow:
 
 def _cmd_fimod_validate(args) -> int:
     t0 = time.perf_counter()
-    M = _load_module(args.file)
+    M = fi_core.load(args.file)
     errors = fi_core.validate(M)
     rep = _report(args, {"errors": errors},
                   t0, "valid" if not errors else "invalid")
@@ -119,7 +114,7 @@ def _cmd_fimod_construct(args) -> int:
 
 def _cmd_fimod_invariants(args) -> int:
     t0 = time.perf_counter()
-    M = _load_module(args.file)
+    M = fi_core.load(args.file)
     fi_core.assert_valid(M)
     inv = fi_homology.invariants(M)
     rep = _report(args, inv.asdict(), t0)
@@ -128,7 +123,7 @@ def _cmd_fimod_invariants(args) -> int:
 
 def _cmd_fimod_homology(args) -> int:
     t0 = time.perf_counter()
-    M = _load_module(args.file)
+    M = fi_core.load(args.file)
     fi_core.assert_valid(M)
     table = fi_homology.homology_table(M, args.imax)
     rep = _report(args, {"dims": M.dims, "homology": table}, t0)
@@ -137,7 +132,7 @@ def _cmd_fimod_homology(args) -> int:
 
 def _cmd_fimod_fit(args) -> int:
     t0 = time.perf_counter()
-    M = _load_module(args.file)
+    M = fi_core.load(args.file)
     fi_core.assert_valid(M)
     inv = fi_homology.invariants(M)
     fit = fi_homology.polynomial_fit(M, inv.delta, inv.hmax)
@@ -448,8 +443,12 @@ def main(argv: list[str] | None = None) -> int:
     except fi_homology.InternalConsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4
+    except fi_homology.FitError as exc:
+        print(f"fit failed: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, FileNotFoundError, json.JSONDecodeError,
-            ValueError, KeyError, fi_core.ValidationError) as exc:
+            ValueError, KeyError, fi_core.ValidationError,
+            fi_core.WindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,7 +111,7 @@ def _bar_faces(table: np.ndarray, j: int, action=None, nb: int = 1
     the signed permutation module given by action = (images, signs), two
     |G| x nb arrays: g sends coefficient cell c to sign * cell images[g, c].
     The last face carries g_j acting on c.  Coincident faces are listed
-    separately; `exactlin.index_columns` and `index_rank_modp` sum them.
+    separately; `exactlin.entry_rank` sums them.
     """
     order = len(table)
     if action is None:
@@ -368,8 +368,9 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
     # group action on each face list
     facts = {b: _face_action(faces[b], E.vertex_action)
              for b in range(0, top + 1)}
-    bdry = {b: splitbases.sparse_boundary(faces[b], faces[b - 1])
-            for b in range(0, top + 1)}
+    bdry = {b: exactlin.index_entries(
+        splitbases.boundary_columns(faces[b], faces[b - 1]),
+        splitbases._boundary_signs(b + 1)) for b in range(0, top + 1)}
 
     def blocks(t: int) -> list[tuple[int, int, int]]:
         # x = bar degree a, y = simplicial degree b
@@ -377,11 +378,12 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
                 for a in range(t + 2) if t - a <= top]
 
     def bar(a: int, b: int):
-        return exactlin.index_columns(
+        return exactlin.index_entries(
             *_bar_faces(E.table, a, facts.get(b), cdims[b]))
 
     def simplicial(a: int, b: int):
-        return fi_homology.tensor_identity(order ** a, bdry[b], cdims[b - 1])
+        return fi_homology.tensor_identity(order ** a, bdry[b], cdims[b - 1],
+                                           cdims[b])
 
     dims = _total_dims(blocks, range(-1, k_max + 2), p)
     ranks = {t: fi_homology.total_rank(blocks, bar, simplicial, t, p)
@@ -463,13 +465,15 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
     def koszul(r: int, j: int):
         lev = n - r
         cols = [[{i: 1} for i in g.tolist()] for g in ins[j][lev]]
-        return fi_homology.koszul_columns(cols, n, r, orders[lev + 1] ** j)
+        return exactlin.column_entries(fi_homology.koszul_columns(
+            cols, n, r, orders[lev + 1] ** j))
 
     def bar(r: int, j: int):
         lev = n - r
-        cols = exactlin.index_columns(*_bar_faces(tables[lev], j))
-        return fi_homology.tensor_identity(math.comb(n, r), cols,
-                                           orders[lev] ** (j - 1))
+        entries = exactlin.index_entries(*_bar_faces(tables[lev], j))
+        return fi_homology.tensor_identity(math.comb(n, r), entries,
+                                           orders[lev] ** (j - 1),
+                                           orders[lev] ** j)
 
     return (dims[k] - fi_homology.total_rank(blocks, koszul, bar, k, p)
             - fi_homology.total_rank(blocks, koszul, bar, k + 1, p))

@@ -9,14 +9,15 @@ there), and in Python ints beyond it.  The
 integer Smith normal form uses arbitrary-precision Python ints.  The two
 heavy paths are a vectorized dense elimination mod p and one sparse
 reduction for large boundary matrices, which can report the rank of each
-of several leading blocks of columns.  Over odd p it reduces dict
-vectors; over GF(2) it reduces Python-int bitsets.  A single rank is
-taken along the shorter side: every vector beyond the rank is reduced to
-zero before it is dropped, and the longer side has more of them.  Over
-odd p the rows of a wide matrix are fed to the same reduction with every
-label reversed; index arrays, where the caller has them
-(`index_rank_modp`), are turned straight into those rows, or over GF(2)
-packed straight into bitsets.  The prefix ranks keep the column order.
+of several leading blocks of columns (`sparse_prefix_ranks`).  Over odd
+p it reduces dict vectors; over GF(2) it reduces Python-int bitsets.
+Every assembled sparse matrix is given by its entry arrays
+(rows, cols, vals), and `entry_rank` alone ranks them: it checks the
+indices, takes the shorter side, sums coincident entries and hands each
+vector's run to the kernel of its field, in the order measured fastest
+for that kernel.  `sparse_rank_modp`, `rank_gf2_from_columns` and
+`index_rank_modp` rank dict or index-list columns and index arrays
+through it.  The prefix ranks keep the column order.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def colspace_complement_projection(A, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# sparse columns: conversion and left-to-right column reduction
+# sparse matrices: entry arrays, and the one rank of them
 # ---------------------------------------------------------------------------
 
 
@@ -211,85 +212,135 @@ def dense_to_columns(A) -> list[dict[int, int]]:
     return cols
 
 
-def columns_to_dense(columns: list, nrows: int, p: int) -> np.ndarray:
-    """The nrows x len(columns) matrix mod p of row -> value dicts."""
-    D = np.zeros((nrows, len(columns)), dtype=np.int64)
-    rows = [r for col in columns for r in col]
-    vals = [v for col in columns for v in col.values()]
-    where = np.repeat(np.arange(len(columns)), [len(col) for col in columns])
-    D[rows, where] = np.asarray(vals, dtype=np.int64) % p
-    return D
+def column_entries(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry arrays (rows, cols, vals) of a list of columns, each a
+    row -> value dict or a list of row indices of value 1."""
+    rows: list[int] = []
+    vals: list[int] = []
+    lens = []
+    for col in columns:
+        rows.extend(col)
+        vals.extend(col.values() if isinstance(col, dict)
+                    else itertools.repeat(1, len(col)))
+        lens.append(len(col))
+    return (np.array(rows, dtype=np.int64),
+            np.repeat(np.arange(len(lens)), np.array(lens, dtype=np.int64)),
+            np.array(vals, dtype=np.int64))
 
 
-def index_columns(faces: np.ndarray, signs) -> list[dict[int, int]]:
-    """The columns of an index array as row -> value dicts: column c has
-    coefficient signs[c, i] at row faces[c, i], `signs` broadcast against
-    `faces`, and coincident rows are summed."""
-    signs = np.broadcast_to(signs, faces.shape)
-    # one sign list for all columns when they share it, as every
-    # simplicial boundary and the bar with trivial coefficients do
-    if len(faces) and (signs == signs[0]).all():
-        same = signs[0].tolist()
-        cols = [dict(zip(rows, same)) for rows in faces.tolist()]
-    else:
-        cols = [dict(zip(rows, vals))
-                for rows, vals in zip(faces.tolist(), signs.tolist())]
-    ordered = np.sort(faces, axis=1)
-    for c in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-        cols[c] = {}
-        for r, v in zip(faces[c].tolist(), signs[c].tolist()):
-            cols[c][r] = cols[c].get(r, 0) + v
-    return cols
+def entries_to_dense(rows, cols, vals, nrows: int, ncols: int,
+                     p: int) -> np.ndarray:
+    """The nrows x ncols matrix mod p of entry arrays, coincident entries
+    summed."""
+    D = np.zeros((nrows, ncols), dtype=np.int64)
+    np.add.at(D, (rows, cols), vals)
+    return D % p
 
 
 # The one count of a plain rank: more columns than any matrix has.
 _ALL = (sys.maxsize,)
 
 
-def sparse_rank_modp(columns, nrows: int, p: int) -> int:
-    """Rank of a column-sparse matrix over F_p.
+def entry_rank(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
+    """Rank over F_p of the nrows x ncols matrix with entry vals[i] at
+    (rows[i], cols[i]), coincident entries summed.
 
-    `columns[j]` maps row index -> integer coefficient, reduced mod p
-    here.  For p = 2 a column may also be a list of row indices, and
-    `columns` a 2d index array, one row of indices per column; a repeated
-    index cancels.  Over F_2 the matrix is reduced as Python-int bitsets,
-    an index array along its shorter side (`rank_gf2_from_columns`).
-    Over odd p the row indices are checked, and the single-count case of
-    `sparse_prefix_ranks` reduces the shorter side: the rows when
-    nrows < ncols, with every label reversed (`_reversed_rows`), else the
-    columns.
+    The three integer arrays broadcast to one shape, so an index array
+    needs no column index per entry and no sign per column.  Indices out
+    of range raise ValueError.  The shorter side is reduced: the rows
+    when nrows < ncols, else the columns.  Every vector beyond the rank
+    is reduced to zero before it is dropped, and the longer side has
+    more of them.  One sort of the entries lists each vector's entries in
+    one run, and the sort's temporaries are freed before the reduction
+    starts.
+
+    Over F_2 only the parity of a value counts, and repeats cancel: the
+    runs are packed into bitsets a chunk at a time (`_pack_index_runs`)
+    and reduced one at a time, so of the vectors only the pivot table is
+    held.  Over odd p coincident entries are summed, zeros dropped, and
+    the runs fed as dict vectors to the reduction of
+    `sparse_prefix_ranks`.  There the rows of a wide matrix take every
+    label reversed, row r being vector nrows-1-r and column c its entry
+    ncols-1-c, so they are reduced from the last to the first, each keyed
+    on its lowest column.  Each kernel takes the order measured best for
+    it: at odd p reversed rows beat the columns on the wide bar and total
+    boundaries of `congruence` and match them on the small hyper
+    complexes of the audit, where rows in their own order cost twice as
+    much; over F_2 reversed rows raised the memory peak of the (Z/2)^4
+    bar, so there the rows keep their order.
     """
     _check_p(p)
+    rows, cols, vals = (np.asarray(a, dtype=np.int64)
+                        for a in (rows, cols, vals))
+    for idx, bound in ((rows, nrows), (cols, ncols)):
+        # seen as uint64 a negative index is at least 2**63, so one
+        # maximum checks both ends; numpy would wrap it round silently
+        if idx.size and idx.view(np.uint64).max() >= bound:
+            raise ValueError(f"index out of range [0, {bound})")
+    shape = np.broadcast_shapes(rows.shape, cols.shape, vals.shape)
+    if 0 in shape:
+        return 0
+    wide = nrows < ncols
+    nvec, length = (nrows, ncols) if wide else (ncols, nrows)
+    if wide and p != 2:
+        rows, cols = nrows - 1 - rows, ncols - 1 - cols
+    # vector v's entry e has key v * length + e
+    key = np.broadcast_to(rows * ncols + cols if wide else cols * nrows + rows,
+                          shape)
     if p == 2:
-        return rank_gf2_from_columns(columns, nrows)
+        # on vals as given, so that a shared sign list stays short
+        odd = vals % 2 != 0
+        if not odd.all():
+            key = key[np.broadcast_to(odd, shape)]
+        del odd
+        key = np.sort(key, axis=None)
+    else:
+        key = key.ravel()
+        order = np.argsort(key)
+        key = key[order]
+        vals = np.broadcast_to(vals, shape).ravel()[order]
+        del order
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        vals = np.add.reduceat(vals, first) % p
+        nonzero = vals != 0
+        key, vals = key[first[nonzero]], vals[nonzero]
+    starts = np.searchsorted(key, np.arange(nvec + 1) * length)
+    key %= length    # now the entries, run after run
+    if p == 2:
+        return rank_gf2_packed(_pack_index_runs(key, starts, length), length)
+    starts, key, vals = starts.tolist(), key.tolist(), vals.tolist()
+    vectors = [dict(zip(key[a:b], vals[a:b]))
+               for a, b in zip(starts, starts[1:])]
+    del rows, cols, vals, key, starts
+    return sparse_prefix_ranks(vectors, length, p, _ALL)[0]
+
+
+def sparse_rank_modp(columns, nrows: int, p: int) -> int:
+    """Rank over F_p of a matrix given by its columns, each a row ->
+    integer dict or a list of row indices of value 1; `entry_rank` of
+    their `column_entries`."""
     columns = list(columns)
-    nonempty = [col for col in columns if col]
-    if nonempty and not (0 <= min(map(min, nonempty))
-                         and max(map(max, nonempty)) < nrows):
-        raise ValueError(f"index out of range [0, {nrows})")
-    if nrows < len(columns):
-        columns, nrows = _reversed_rows(columns, nrows), len(columns)
-    return sparse_prefix_ranks(columns, nrows, p, _ALL)[0]
+    return entry_rank(*column_entries(columns), nrows, len(columns), p)
 
 
-def _reversed_rows(columns: list, nrows: int) -> list[dict[int, int]]:
-    """The rows of the dict columns as dict vectors, every label
-    reversed: row r is vector nrows-1-r, and column c its entry
-    ncols-1-c.
+def rank_gf2_from_columns(columns, nrows: int) -> int:
+    """Rank over GF(2) of a matrix given by its columns, as
+    `sparse_rank_modp` takes them; a repeated index cancels."""
+    return sparse_rank_modp(columns, nrows, 2)
 
-    Fed to the column reduction, the rows are then reduced from the last
-    to the first, each keyed on its lowest column.  On the wide bar and
-    total boundaries of `congruence` this order was measured faster than
-    the columns; on the small hyper complexes of the audit it is about as
-    fast, where the rows in their own order cost twice as much.
-    """
-    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
-    top, c = nrows - 1, len(columns)
-    for col in columns:
-        c -= 1
-        for r, v in col.items():
-            rows[top - r][c] = v
-    return rows
+
+def index_entries(faces: np.ndarray, signs):
+    """The entry arrays of an index array: column c has coefficient
+    signs[c, i] at row faces[c, i], `signs` broadcast against `faces`."""
+    faces = np.asarray(faces)
+    if faces.ndim != 2:
+        raise ValueError("expected a 2d index array")
+    return faces, np.arange(len(faces))[:, None], signs
+
+
+def index_rank_modp(faces: np.ndarray, signs, nrows: int, p: int) -> int:
+    """Rank over F_p of the matrix of `index_entries(faces, signs)`."""
+    return entry_rank(*index_entries(faces, signs), nrows, len(faces), p)
 
 
 def sparse_prefix_ranks(columns, nrows: int, p: int, counts) -> list[int]:
@@ -297,17 +348,17 @@ def sparse_prefix_ranks(columns, nrows: int, p: int, counts) -> list[int]:
     ascending `counts`, from one left-to-right reduction.
 
     `columns` is an iterable of dict columns, as `sparse_rank_modp` takes
-    them, or over F_2 of index lists.  Over odd p each column is reduced
-    against a pivot table keyed on the lowest (largest-index) nonzero
-    row, the scheme used for boundary-matrix reduction, and no column is
-    read past the last count or once the rank reaches nrows.  Over F_2
-    the columns are packed by `pack_rows_gf2` and reduced by
+    them, or over F_2 of index lists.  No column is read past the last
+    count or once the rank reaches nrows.  Over odd p each column is
+    reduced against a pivot table keyed on the lowest (largest-index)
+    nonzero row, the scheme used for boundary-matrix reduction.  Over F_2
+    each column is packed as it is read (`_packed_rows`) and reduced by
     `_gf2_prefix_ranks`.  Every count from the one that reaches rank
     nrows on reads nrows.
     """
     _check_p(p)
     if p == 2:
-        return _gf2_prefix_ranks(pack_rows_gf2(columns, nrows), nrows, counts)
+        return _gf2_prefix_ranks(_packed_rows(columns, nrows), nrows, counts)
     pivot: dict[int, dict[int, int]] = {}
     cols = iter(columns)
     ranks, done = [], 0
@@ -334,57 +385,6 @@ def sparse_prefix_ranks(columns, nrows: int, p: int, counts) -> list[int]:
         done = c
         ranks.append(len(pivot))
     return ranks
-
-
-def index_rank_modp(faces: np.ndarray, signs, nrows: int, p: int) -> int:
-    """Rank over F_p of the matrix of `index_columns(faces, signs)`, whose
-    signs are +-1.  Over F_2 every sign is 1, so the index array itself is
-    ranked; over odd p a wide matrix, nrows < ncols, is ranked by its
-    reversed rows (`_index_rows`, as `sparse_rank_modp` ranks wide dict
-    columns), and a tall or square one by its dict columns."""
-    if p == 2:
-        return sparse_rank_modp(faces, nrows, 2)
-    _check_index_array(faces, nrows)
-    if nrows >= len(faces):
-        return sparse_prefix_ranks(index_columns(faces, signs), nrows, p,
-                                   _ALL)[0]
-    return sparse_prefix_ranks(_index_rows(faces, signs, nrows, p),
-                               len(faces), p, _ALL)[0]
-
-
-def _check_index_array(faces: np.ndarray, nrows: int) -> None:
-    if faces.ndim != 2:
-        raise ValueError("expected a 2d index array")
-    # numpy and Python lists would wrap a negative index round silently
-    if faces.size and not (0 <= faces.min() and faces.max() < nrows):
-        raise ValueError(f"index out of range [0, {nrows})")
-
-
-def _index_rows(faces: np.ndarray, signs, nrows: int,
-                p: int) -> list[dict[int, int]]:
-    """The rows mod p of the matrix of `index_columns(faces, signs)` as
-    dict vectors, labelled as `_reversed_rows` labels them; coincident
-    entries are summed and zeros dropped.
-
-    One sort of the entries by (reversed row, reversed column) lists each
-    vector's entries in one run.
-    """
-    if not faces.size:
-        return []
-    ncols = len(faces)
-    signs = np.broadcast_to(np.asarray(signs, dtype=np.int64), faces.shape)
-    key = ((nrows - 1 - faces) * ncols
-           + (ncols - 1 - np.arange(ncols))[:, None]).ravel()
-    order = np.argsort(key)
-    key = key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    vals = np.add.reduceat(signs.ravel()[order], first) % p
-    keep = vals != 0
-    row, col = np.divmod(key[first[keep]], ncols)
-    starts = np.searchsorted(row, np.arange(nrows + 1)).tolist()
-    col, vals = col.tolist(), vals[keep].tolist()
-    return [dict(zip(col[a:b], vals[a:b]))
-            for a, b in zip(starts, starts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +419,10 @@ def _pack_index_runs(idx: np.ndarray, starts: np.ndarray, length: int):
             yield int.from_bytes(data[off:off + width], "little")
 
 
-def pack_rows_gf2(rows, ncols: int) -> list[int]:
-    """One int per row, with bit c set when c occurs an odd number of
-    times in the row.  A row is an index list or a dict index ->
-    coefficient, whose even entries drop out.
-    """
-    packed = []
+def _packed_rows(rows, ncols: int):
+    """Yield one int per row, with bit c set when c occurs an odd number
+    of times in the row, an index list or a dict index -> coefficient,
+    whose even entries drop out."""
     for row in rows:
         x = 0
         if isinstance(row, dict):
@@ -435,9 +433,14 @@ def pack_rows_gf2(rows, ncols: int) -> list[int]:
             for c in row:
                 x ^= 1 << int(c)
         if x >> ncols:
-            raise ValueError(f"index {x.bit_length() - 1} out of range {ncols}")
-        packed.append(x)
-    return packed
+            raise ValueError(
+                f"index {x.bit_length() - 1} out of range {ncols}")
+        yield x
+
+
+def pack_rows_gf2(rows, ncols: int) -> list[int]:
+    """One int per row, packed as `_packed_rows` packs it."""
+    return list(_packed_rows(rows, ncols))
 
 
 def rank_gf2_packed(M, ncols: int) -> int:
@@ -480,34 +483,6 @@ def rank_gf2_dense(A) -> int:
     rows = np.packbits(A.astype(np.uint8), axis=1, bitorder="little")
     return rank_gf2_packed([int.from_bytes(r.tobytes(), "little") for r in rows],
                            A.shape[1])
-
-
-def rank_gf2_from_columns(columns, nrows: int) -> int:
-    """Rank over GF(2) of a matrix given by its columns: a 2d index array
-    with one row of indices per column, or a list of index lists or dicts
-    as `pack_rows_gf2` takes; a repeated index cancels.
-
-    List columns are packed and reduced as they come.  Of a 2d index
-    array the shorter side is reduced: the rows when nrows < ncols, else
-    the columns.  Every vector beyond the rank has to be reduced to zero
-    before it is dropped, and the long side has more of them.  The array
-    is packed a chunk of vectors at a time and reduced one vector at a
-    time, so of it only the pivot table is held.
-    """
-    if not isinstance(columns, np.ndarray):
-        return rank_gf2_packed(pack_rows_gf2(columns, nrows), nrows)
-    ncols = len(columns)
-    _check_index_array(columns, nrows)
-    flat, per_col = columns.ravel(), columns.shape[1]
-    if nrows >= ncols:
-        return rank_gf2_packed(
-            _pack_index_runs(flat, np.arange(ncols + 1) * per_col, nrows),
-            nrows)
-    # the rows: sorting the entries by row index lists each row's columns
-    starts = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=nrows), out=starts[1:])
-    cols_of = np.argsort(flat, kind="stable") // per_col
-    return rank_gf2_packed(_pack_index_runs(cols_of, starts, ncols), ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,13 @@
 `koszul_columns` is the one generator of the subset-indexed Koszul
 boundary, as sparse columns; `koszul_rank` ranks them with
 `exactlin.sparse_prefix_ranks`, and `koszul_boundary` is their dense view.
-`total_columns` and `total_rank` totalize a double complex given by its
-blocks and two column generators, with sign (-1)^x on the vertical map.
-They serve the hyper homology of complexes of windows here and both bar
+`total_entries` and `total_rank` totalize a double complex given by its
+blocks and two block maps, with sign (-1)^x on the vertical map: each
+block map hands over entry arrays (rows, cols, vals), which are offset
+and concatenated into those of the total differential and ranked by
+`exactlin.entry_rank`.  They serve the hyper homology of complexes of
+windows here, where a Koszul block is its sparse columns flattened once
+and a differential block the nonzeros of its dense matrix, and both bar
 double complexes in `congruence`.
 
 FI-homology comes from the one Koszul route: the subset-indexed complex
@@ -35,7 +39,6 @@ gives it for every s at once.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -118,7 +121,8 @@ def koszul_boundary(M: FIModuleWindow, n: int, k: int) -> np.ndarray:
     """Boundary C_k -> C_{k-1} of the evaluation-n complex, dense mod p."""
     rows = comb(n, k - 1) * M.dims[n - k + 1] if 1 <= k <= n + 1 else 0
     cols = list(_window_columns(M, n, k)) if 1 <= k <= n else []
-    return exactlin.columns_to_dense(cols, rows, M.p)
+    return exactlin.entries_to_dense(*exactlin.column_entries(cols), rows,
+                                     len(cols), M.p)
 
 
 def koszul_dims(M: FIModuleWindow, n: int, s: int = 0) -> list[int]:
@@ -369,52 +373,50 @@ def shift_complex(C: FIComplexWindow, a: int = 1) -> FIComplexWindow:
     return FIComplexWindow(C.p, C.N - a, C.jmin, C.jmax, mods, diffs)
 
 
-def tensor_identity(count: int, cols: list[dict[int, int]], stride: int):
-    """Columns of id x d on `count` copies of d's source, copy-major; copy
-    i of a column is shifted by i * stride rows."""
-    for i in range(count):
-        off = i * stride
-        for col in cols:
-            yield {off + r: v for r, v in col.items()}
+def tensor_identity(count: int, entries, nrows: int, ncols: int):
+    """Entry arrays of id x d on `count` copies of the nrows x ncols map d
+    given by `entries`, copy-major: copy i of an entry is shifted by
+    i * nrows rows and i * ncols columns."""
+    rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(*entries))
+    copies = np.arange(count)[:, None]
+    return copies * nrows + rows, copies * ncols + cols, vals
 
 
-def total_columns(blocks, horizontal, vertical,
-                  t: int) -> tuple[list[dict[int, int]], int]:
-    """Integer columns, and the row count, of the total differential
-    d_h + (-1)^x d_v of a double complex from degree t to t - 1; the
-    rank kernel and `columns_to_dense` reduce them mod p.
+def total_entries(blocks, horizontal, vertical, t: int):
+    """Entry arrays (rows, cols, vals) and the shape (nrows, ncols) of the
+    total differential d_h + (-1)^x d_v of a double complex from degree t
+    to t - 1, with integer values; `exactlin.entry_rank` and
+    `entries_to_dense` reduce them mod p.
 
     blocks(t) lists the (x, y, size) blocks with x + y = t, in the order
-    in which their cells are numbered.  horizontal(x, y) and vertical(x, y)
-    yield, cell by cell, the block-local columns of the maps into blocks
-    (x - 1, y) and (x, y - 1); each is called only when that block exists.
+    in which their cells are numbered.  horizontal(x, y) and
+    vertical(x, y) return the block-local entry arrays of the maps into
+    blocks (x - 1, y) and (x, y - 1), each as three arrays that broadcast
+    to one shape; each is called only when that block exists.
     """
     offsets, nrows = {}, 0
     for x, y, size in blocks(t - 1):
         offsets[x, y] = nrows
         nrows += size
-    cols = []
+    parts, ncols = [], 0
     for x, y, size in blocks(t):
-        parts = []
-        if (x - 1, y) in offsets:
-            parts.append((horizontal(x, y), offsets[x - 1, y], 1))
-        if (x, y - 1) in offsets:
-            parts.append((vertical(x, y), offsets[x, y - 1],
-                          -1 if x % 2 else 1))
-        gens = [gen for gen, _, _ in parts]
-        for pieces in zip(*gens) if gens else itertools.repeat((), size):
-            col = {}
-            for piece, (_, off, sign) in zip(pieces, parts):
-                for r, v in piece.items():
-                    col[off + r] = sign * v
-            cols.append(col)
-    return cols, nrows
+        for part, target, sign in ((horizontal, (x - 1, y), 1),
+                                   (vertical, (x, y - 1), -1 if x % 2 else 1)):
+            if target in offsets:
+                rows, cols, vals = np.broadcast_arrays(*part(x, y))
+                parts.append(((rows + offsets[target]).ravel(),
+                              (cols + ncols).ravel(), (sign * vals).ravel()))
+        ncols += size
+    if not parts:
+        parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    return rows, cols, vals, nrows, ncols
 
 
 def total_rank(blocks, horizontal, vertical, t: int, p: int) -> int:
     """Rank over F_p of the total differential from degree t to t - 1."""
-    return exactlin.sparse_rank_modp(
-        *total_columns(blocks, horizontal, vertical, t), p)
+    return exactlin.entry_rank(
+        *total_entries(blocks, horizontal, vertical, t), p)
 
 
 def _hyper_double(C: FIComplexWindow, n: int):
@@ -425,12 +427,12 @@ def _hyper_double(C: FIComplexWindow, n: int):
                 for j in range(C.jmin, C.jmax + 1) if 0 <= t - j <= n]
 
     def koszul(r: int, j: int):
-        return _window_columns(C.module(j), n, r)
+        return exactlin.column_entries(_window_columns(C.module(j), n, r))
 
     def differential(r: int, j: int):
-        return tensor_identity(
-            comb(n, r), exactlin.dense_to_columns(C.diffs[j][n - r]),
-            C.module(j - 1).dims[n - r])
+        D = C.diffs[j][n - r]
+        ri, ci = np.nonzero(D)
+        return tensor_identity(comb(n, r), (ri, ci, D[ri, ci]), *D.shape)
 
     return blocks, koszul, differential
 
@@ -441,8 +443,8 @@ def hyper_boundary(C: FIComplexWindow, n: int, m: int) -> np.ndarray:
     T_m stacks the Koszul degree r piece of the degree-j module over all
     j + r = m, ordered by j; the complex differential carries sign (-1)^r.
     """
-    cols, nrows = total_columns(*_hyper_double(C, n), m)
-    return exactlin.columns_to_dense(cols, nrows, C.p)
+    return exactlin.entries_to_dense(
+        *total_entries(*_hyper_double(C, n), m), C.p)
 
 
 def hyper_homology_table(C: FIComplexWindow, k_max: int) -> dict[int, list[int]]:
@@ -482,13 +484,18 @@ class PolynomialFit:
         return " + ".join(terms) if terms else "0"
 
 
-def polynomial_fit(M: FIModuleWindow, delta: int, hmax: int) -> PolynomialFit:
+def polynomial_fit(M: FIModuleWindow, delta: int | None,
+                   hmax: int | None) -> PolynomialFit:
     """Interpolate dimensions through the top delta+1 window levels.
 
-    Requires certified invariants from the caller; raises FitError when
-    the stored dimensions deviate from the fit at any level past hmax+1,
-    or when the binomial-basis coefficients fail to be integers.
+    Requires certified invariants from the caller, and raises WindowError
+    when the window was too short to find either (None); raises FitError
+    when the stored dimensions deviate from the fit at any level past
+    hmax+1, or when the binomial-basis coefficients fail to be integers.
     """
+    if delta is None or hmax is None:
+        raise WindowError("window too short to find the stable and local "
+                          "degrees that a fit needs")
     if delta < 0:
         fit = PolynomialFit([], M.N + 1)
         onset = M.N + 1

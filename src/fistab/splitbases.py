@@ -629,13 +629,6 @@ def boundary_columns(faces_k: np.ndarray, faces_km1: np.ndarray
     return face_index(faces_km1, facets.reshape(F * w, w - 1)).reshape(F, w)
 
 
-def sparse_boundary(faces_k: np.ndarray,
-                    faces_km1: np.ndarray) -> list[dict[int, int]]:
-    """`boundary_columns` as sparse columns of +-1."""
-    return exactlin.index_columns(boundary_columns(faces_k, faces_km1),
-                                  _boundary_signs(faces_k.shape[1]))
-
-
 def _boundary_signs(width: int) -> np.ndarray:
     return np.where(np.arange(width) % 2, -1, 1)
 

@@ -104,6 +104,37 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "cong appB --k 1 --p 2 --N 2",
+    "cong appB --k 1 --p 2 --N 1",
+    "cong appB --k 2 --p 3 --N 1",
+    "fimod fit {free}",
+])
+def test_windows_too_short_to_fit_are_usage_errors(tmp_path, capsys, argv):
+    # these windows are too short to find the stable or local degree, so
+    # there is nothing to fit: a one-line error and exit 2, no traceback
+    f = tmp_path / "free.json"
+    fi_core.save(fi_core.free_module(2, 2, 2), str(f))
+    code, out, err = run(capsys, *argv.format(free=f).split())
+    assert code == 2
+    assert out == "" and err.startswith("error: window too short")
+    assert len(err.splitlines()) == 1
+
+
+def test_failed_fit_exit_code(tmp_path, capsys, monkeypatch):
+    def misfit(*args):
+        raise fi_homology.FitError("dimensions leave the fit")
+
+    monkeypatch.setattr(fi_homology, "polynomial_fit", misfit)
+    f = tmp_path / "free.json"
+    fi_core.save(fi_core.free_module(2, 1, 5), str(f))
+    for argv in (["fimod", "fit", str(f)],
+                 ["cong", "appB", "--k", "1", "--p", "2", "--N", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "fit failed: dimensions leave the fit\n"
+
+
 def test_cong_hk_feeds_fimod(tmp_path, capsys):
     f = tmp_path / "h1.json"
     code, _, _ = run(capsys, "cong", "hk", "--k", "1", "--p", "2", "--N", "5",

@@ -99,12 +99,6 @@ def test_bar_faces_match_definition():
                              dtype=np.int64)
                 np.add.at(D, (faces, np.arange(len(faces))[:, None]), signs)
                 assert (D == bar_reference(table, j, action, nb)).all()
-                C = np.zeros_like(D)
-                cols = exactlin.index_columns(faces, signs)
-                for c, col in enumerate(cols):
-                    for r, v in col.items():
-                        C[r, c] += v
-                assert (C == D).all()
                 if prev is not None:
                     # d_{j-1} d_j = 0 over Z, so mod every p; the float64
                     # product of these small integers is exact

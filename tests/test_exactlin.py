@@ -410,6 +410,49 @@ def test_odd_p_ranks_match_oracle(case):
         == rank_oracle(G, p)
 
 
+@st.composite
+def entry_cases(draw):
+    """(p, rows, cols, vals, nrows, ncols, dense matrix over Z): tall,
+    wide, square or empty; entries often coincide, and values are often
+    negative or zero mod p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    short, long = draw(st.integers(0, 7)), draw(st.integers(0, 24))
+    nrows, ncols = draw(st.sampled_from([(long, short), (short, long),
+                                         (short, short)]))
+    entries = draw(st.lists(st.tuples(
+        st.integers(0, max(nrows - 1, 0)), st.integers(0, max(ncols - 1, 0)),
+        st.sampled_from([1, -1, 2, -2, 0, p, -p, p + 1, 2 * p - 1])),
+        max_size=3 * (nrows + ncols))) if nrows and ncols else []
+    entries += entries[:draw(st.integers(0, len(entries)))]
+    rows, cols, vals = (np.array([e[i] for e in entries], dtype=np.int64)
+                        for i in range(3))
+    A = np.zeros((nrows, ncols), dtype=np.int64)
+    np.add.at(A, (rows, cols), vals)
+    return p, rows, cols, vals, nrows, ncols, A
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_cases())
+def test_entry_rank_matches_oracle(case):
+    p, rows, cols, vals, nrows, ncols, A = case
+    want = rank_oracle(A, p)
+    assert exactlin.entry_rank(rows, cols, vals, nrows, ncols, p) == want
+    assert want == (len(exactlin.rref_modp(A, p)[1]) if A.size else 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("shape", [(3, 8), (8, 3), (4, 4)])
+@pytest.mark.parametrize("side", ["rows", "cols"])
+@pytest.mark.parametrize("bad", [-1, "bound", -2**62])
+def test_entry_rank_index_out_of_range_raises(p, shape, side, bad):
+    nrows, ncols = shape
+    rows, cols = np.array([0, 1, 2]), np.array([2, 1, 0])
+    bound = nrows if side == "rows" else ncols
+    (rows if side == "rows" else cols)[1] = bound if bad == "bound" else bad
+    with pytest.raises(ValueError, match="out of range"):
+        exactlin.entry_rank(rows, cols, np.array([1, -1, 1]), nrows, ncols, p)
+
+
 def test_rank_modp_gf2_above_dense_threshold():
     # A = L D U with L, U unit triangular and D a 0/1 diagonal with r
     # ones has rank exactly r; float64 products of 0/1 entries this
@@ -473,19 +516,15 @@ def test_sparse_prefix_ranks_match_every_prefix(case):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sparse_prefix_ranks_stop_at_full_rank(p):
-    # every count from the one that reaches rank nrows on reads nrows; over
-    # odd p no later column is read (the generator fails if one is), over
-    # F_2 the columns are all packed first
+    # every count from the one that reaches rank nrows on reads nrows, and
+    # no later column is read (the generator fails if one is)
     nrows = 4
     full = [{i: 1, nrows - 1: p - 1} if i < nrows - 1 else {i: 1}
             for i in range(nrows)]
 
     def columns():
         yield from full
-        if p == 2:
-            yield from full
-        else:
-            raise AssertionError("read a column past full rank")
+        raise AssertionError("read a column past full rank")
 
     assert exactlin.sparse_prefix_ranks(
         columns(), nrows, p, [0, 0, 2, 4, 4, 9, 100]) == [0, 0, 2, 4, 4, 4, 4]

@@ -536,7 +536,9 @@ def test_face_arrays_match_set_route(X):
         assert F.dtype == np.int64 and F.shape[1] == max(k + 1, 0)
         assert [tuple(f) for f in F.tolist()] == oracle_faces(X, k)
     for k in range(0, top + 2):
-        assert sb.sparse_boundary(X.faces(k), X.faces(k - 1)) \
+        facets = sb.boundary_columns(X.faces(k), X.faces(k - 1))
+        signs = sb._boundary_signs(k + 1).tolist()
+        assert [dict(zip(f, signs)) for f in facets.tolist()] \
             == oracle_boundary(oracle_faces(X, k), oracle_faces(X, k - 1))
     for p in (2, 3):
         assert sb.reduced_betti(X, p, ks) == oracle_betti(X, p, ks)
