@@ -111,7 +111,7 @@ def _bar_faces(table: np.ndarray, j: int, action=None, nb: int = 1
     the signed permutation module given by action = (images, signs), two
     |G| x nb arrays: g sends coefficient cell c to sign * cell images[g, c].
     The last face carries g_j acting on c.  Coincident faces are listed
-    separately; `exactlin.entry_rank` sums them.
+    separately; `exactlin.complex_ranks` sums them.
     """
     order = len(table)
     if action is None:
@@ -134,19 +134,28 @@ def _bar_faces(table: np.ndarray, j: int, action=None, nb: int = 1
     return faces.reshape(-1, j + 1), signs.reshape(-1, j + 1)
 
 
+def _bar_entries(table: np.ndarray, j: int):
+    """Entry arrays (rows, cols, vals, nrows, ncols) of the bar boundary
+    from degree j >= 0 to j - 1; the one from degree 0 is zero."""
+    order = table.shape[0]
+    if j == 0:
+        return (np.zeros(0, dtype=np.int64),) * 3 + (0, 1)
+    return exactlin.index_entries(*_bar_faces(table, j)) + (
+        order ** (j - 1), order ** j)
+
+
 def _bar_rank(table: np.ndarray, j: int, p: int) -> int:
-    """Rank over F_p of the bar boundary from degree j to j - 1."""
-    if j <= 0:
-        return 0
-    return exactlin.index_rank_modp(*_bar_faces(table, j),
-                                    table.shape[0] ** (j - 1), p)
+    """Rank over F_p of the bar boundary from degree j >= 0 to j - 1."""
+    return exactlin.entry_rank(*_bar_entries(table, j), p)
 
 
 def _bar_cap(p: int) -> int:
-    # odd-prime boundaries reduce their rows as python dicts, still far
-    # slower than the GF(2) int-bitset reduction: on a 2-core Xeon, 0.4 s
-    # for the 19,683 columns of d_3 of (Z/3)^3 against 0.2 s for the
-    # 65,536 of d_4 of (Z/2)^4.  So they get a smaller direct-bar budget.
+    # odd-prime boundaries reduce their rows as python dicts, still about
+    # four times slower per column than the GF(2) int-bitset reduction:
+    # on a 2-core Xeon, with clearing, 0.10 s for the 19,683 columns of
+    # d_3 of (Z/3)^3 against 0.08 s for the 65,536 of d_4 of (Z/2)^4
+    # (0.35 s and 0.09 s without).  So they get a smaller direct-bar
+    # budget.
     return BAR_CAP if p == 2 else BAR_CAP_ODD
 
 
@@ -155,11 +164,16 @@ def _block_cap(p: int) -> int:
 
 
 def bar_homology_from_table(table: np.ndarray, k: int, p: int) -> int:
+    """dim H_k(G; F_p) of the group with multiplication table `table`,
+    from its bar boundaries d_k and d_{k+1}, ranked in one pass."""
+    if k < 0:
+        raise ValueError(f"degree {k} must be nonnegative")
     order = table.shape[0]
     if order ** (k + 1) > _bar_cap(p):
         raise FeasibilityError(
             f"bar chain space {order}^{k + 1} exceeds the cap {_bar_cap(p)}")
-    return order ** k - _bar_rank(table, k, p) - _bar_rank(table, k + 1, p)
+    return order ** k - sum(exactlin.complex_ranks(
+        (_bar_entries(table, j) for j in (k, k + 1)), p))
 
 
 def homology_dims_product(orders: list[int], p: int, k_max: int) -> list[int]:
@@ -184,7 +198,12 @@ def bar_homology_oracle(G, k: int, p: int) -> int:
     for bar must identify as elementary abelian to take that route.
     """
     exactlin._check_p(p)
+    if k < 0:
+        raise ValueError(f"degree {k} must be nonnegative")
     if isinstance(G, (list, tuple)):
+        if not G or min(G) < 1:
+            raise ValueError(f"expected one or more positive cyclic orders, "
+                             f"got {list(G)}")
         order = math.prod(G)
         if order ** (k + 1) <= _bar_cap(p):
             table = _cyclic_table(G[0]) if len(G) == 1 else None
@@ -385,16 +404,19 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
         return fi_homology.tensor_identity(order ** a, bdry[b], cdims[b - 1],
                                            cdims[b])
 
-    dims = _total_dims(blocks, range(-1, k_max + 2), p)
-    ranks = {t: fi_homology.total_rank(blocks, bar, simplicial, t, p)
-             for t in range(-1, k_max + 2)}
+    degrees = range(-1, k_max + 2)
+    dims = _total_dims(blocks, degrees, p)
+    ranks = dict(zip(degrees, exactlin.complex_ranks(
+        (fi_homology.total_entries(blocks, bar, simplicial, t)
+         for t in degrees), p)))
 
     def lean(t: int) -> list[tuple[int, int, int]]:
         return [blk for blk in blocks(t) if blk[0] <= k_max + 1]
 
     if top >= 0:
         full = ranks[k_max + 1]
-        lean_rank = fi_homology.total_rank(lean, bar, simplicial, k_max + 1, p)
+        lean_rank = exactlin.entry_rank(
+            *fi_homology.total_entries(lean, bar, simplicial, k_max + 1), p)
         if lean_rank != full:
             raise InternalConsistencyError(
                 f"resolution truncation is unstable: the degree-{k_max + 1} "
@@ -475,8 +497,9 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
                                            orders[lev] ** (j - 1),
                                            orders[lev] ** j)
 
-    return (dims[k] - fi_homology.total_rank(blocks, koszul, bar, k, p)
-            - fi_homology.total_rank(blocks, koszul, bar, k + 1, p))
+    return dims[k] - sum(exactlin.complex_ranks(
+        (fi_homology.total_entries(blocks, koszul, bar, t)
+         for t in (k, k + 1)), p))
 
 
 # ---------------------------------------------------------------------------

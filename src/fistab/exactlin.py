@@ -12,12 +12,16 @@ reduction for large boundary matrices, which can report the rank of each
 of several leading blocks of columns (`sparse_prefix_ranks`).  Over odd
 p it reduces dict vectors; over GF(2) it reduces Python-int bitsets.
 Every assembled sparse matrix is given by its entry arrays
-(rows, cols, vals), and `entry_rank` alone ranks them: it checks the
+(rows, cols, vals), and `complex_ranks` alone ranks them: it checks the
 indices, takes the shorter side, sums coincident entries and hands each
 vector's run to the kernel of its field, in the order measured fastest
-for that kernel.  `sparse_rank_modp`, `rank_gf2_from_columns` and
-`index_rank_modp` rank dict or index-list columns and index arrays
-through it.  The prefix ranks keep the column order.
+for that kernel.  It takes the consecutive boundaries of one chain
+complex, and where d_k and d_{k+1} are both wide it skips the rows of
+d_{k+1} that the pivots of d_k prove dependent ("clearing"), which is
+exact only because d_k d_{k+1} = 0.  `entry_rank` is its one-boundary
+case; `sparse_rank_modp`, `rank_gf2_from_columns` and `index_rank_modp`
+rank dict or index-list columns and index arrays through that.  The
+prefix ranks keep the column order.
 """
 
 from __future__ import annotations
@@ -243,7 +247,51 @@ _ALL = (sys.maxsize,)
 
 def entry_rank(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
     """Rank over F_p of the nrows x ncols matrix with entry vals[i] at
-    (rows[i], cols[i]), coincident entries summed.
+    (rows[i], cols[i]), coincident entries summed: `complex_ranks` of
+    the complex with this one boundary."""
+    return complex_ranks([(rows, cols, vals, nrows, ncols)], p)[0]
+
+
+def complex_ranks(boundaries, p: int) -> list[int]:
+    """Ranks over F_p of the consecutive boundaries d_a, d_{a+1}, ... of
+    one chain complex, d_k: C_k -> C_{k-1}, each given by its entry arrays
+    (rows, cols, vals, nrows, ncols) as `entry_rank` takes them.
+
+    `boundaries` may be any iterable, read one boundary at a time, each
+    let go before the next is read.  Precondition: d_k d_{k+1} = 0 mod p;
+    only the shapes are checked.
+
+    Clearing: when d_k and d_{k+1} are both wide, both are reduced by
+    rows (`_reduce_entries`), and the pivot keys of d_k name rows of
+    d_{k+1} that are skipped before they are packed or turned into
+    dicts.  A pivot of d_k with key t is a vector of rowspace(d_k) whose
+    last entry in processing order is t; times d_{k+1} it gives 0, so row
+    t of d_{k+1} lies in the span of the rows processed before it.  The
+    labels match: reversed at odd p (key ncols_k-1-c of d_k is vector
+    nrows_{k+1}-1-r of d_{k+1}), natural over F_2.  Every other pair is
+    ranked plainly.  On a sequence that is not a complex a skipped row
+    may be independent, and a rank would come out too low.  (Chen and
+    Kerber, EuroCG 2011; Bauer, *Ripser*, J. Appl. Comput. Topol. 2021.)
+    """
+    _check_p(p)
+    ranks: list[int] = []
+    keys, width = None, None
+    for boundary in boundaries:
+        if width is not None and boundary[3] != width:
+            raise ValueError(f"boundary with {boundary[3]} rows follows one "
+                             f"with {width} columns")
+        width = boundary[4]
+        rank, keys = _reduce_entries(*boundary, p, keys)
+        del boundary
+        ranks.append(rank)
+    return ranks
+
+
+def _reduce_entries(rows, cols, vals, nrows: int, ncols: int, p: int,
+                    cleared):
+    """(rank, pivot keys) of the matrix of `entry_rank`; the keys are
+    None unless it was reduced by rows, and the rows named in `cleared`,
+    in the labels of that reduction, are skipped when it is.
 
     The three integer arrays broadcast to one shape, so an index array
     needs no column index per entry and no sign per column.  Indices out
@@ -252,24 +300,22 @@ def entry_rank(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
     is reduced to zero before it is dropped, and the longer side has
     more of them.  One sort of the entries lists each vector's entries in
     one run, and the sort's temporaries are freed before the reduction
-    starts.
+    starts; cleared rows are dropped before the sort.
 
     Over F_2 only the parity of a value counts, and repeats cancel: the
     runs are packed into bitsets a chunk at a time (`_pack_index_runs`)
     and reduced one at a time, so of the vectors only the pivot table is
     held.  Over odd p coincident entries are summed, zeros dropped, and
-    the runs fed as dict vectors to the reduction of
-    `sparse_prefix_ranks`.  There the rows of a wide matrix take every
-    label reversed, row r being vector nrows-1-r and column c its entry
-    ncols-1-c, so they are reduced from the last to the first, each keyed
-    on its lowest column.  Each kernel takes the order measured best for
-    it: at odd p reversed rows beat the columns on the wide bar and total
-    boundaries of `congruence` and match them on the small hyper
-    complexes of the audit, where rows in their own order cost twice as
-    much; over F_2 reversed rows raised the memory peak of the (Z/2)^4
-    bar, so there the rows keep their order.
+    the runs fed as dict vectors to `_modp_reduce`.  There the rows of a
+    wide matrix take every label reversed, row r being vector nrows-1-r
+    and column c its entry ncols-1-c, so they are reduced from the last
+    to the first, each keyed on its lowest column.  Each kernel takes the
+    order measured best for it: at odd p reversed rows beat the columns
+    on the wide bar and total boundaries of `congruence` and match them
+    on the small hyper complexes of the audit, where rows in their own
+    order cost twice as much; over F_2 reversed rows raised the memory
+    peak of the (Z/2)^4 bar, so there the rows keep their order.
     """
-    _check_p(p)
     rows, cols, vals = (np.asarray(a, dtype=np.int64)
                         for a in (rows, cols, vals))
     for idx, bound in ((rows, nrows), (cols, ncols)):
@@ -277,42 +323,63 @@ def entry_rank(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
         # maximum checks both ends; numpy would wrap it round silently
         if idx.size and idx.view(np.uint64).max() >= bound:
             raise ValueError(f"index out of range [0, {bound})")
+    wide = nrows < ncols
     shape = np.broadcast_shapes(rows.shape, cols.shape, vals.shape)
     if 0 in shape:
-        return 0
-    wide = nrows < ncols
+        return 0, None
     nvec, length = (nrows, ncols) if wide else (ncols, nrows)
     if wide and p != 2:
         rows, cols = nrows - 1 - rows, ncols - 1 - cols
     # vector v's entry e has key v * length + e
     key = np.broadcast_to(rows * ncols + cols if wide else cols * nrows + rows,
                           shape)
+    # the entries kept: over F_2 the odd ones (on vals as given, so that a
+    # shared sign list stays short), and those of rows not cleared; the
+    # vectors read, and nvec to end the last one
+    keep = vals % 2 != 0 if p == 2 else None
+    read = np.arange(nvec + 1)
+    if wide and cleared is not None and len(cleared):
+        skip = np.zeros(nrows, dtype=bool)
+        skip[cleared] = True
+        read = np.append(np.flatnonzero(~skip), nvec)
+        keep = ~skip[rows] if keep is None else keep & ~skip[rows]
+        del skip
+    if p != 2:
+        vals = np.broadcast_to(vals, shape)
+    if keep is not None and not keep.all():
+        keep = np.broadcast_to(keep, shape)
+        key = key[keep]
+        if p != 2:
+            vals = vals[keep]
+    del keep
     if p == 2:
-        # on vals as given, so that a shared sign list stays short
-        odd = vals % 2 != 0
-        if not odd.all():
-            key = key[np.broadcast_to(odd, shape)]
-        del odd
         key = np.sort(key, axis=None)
     else:
         key = key.ravel()
         order = np.argsort(key)
         key = key[order]
-        vals = np.broadcast_to(vals, shape).ravel()[order]
+        vals = vals.ravel()[order]
         del order
         first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         vals = np.add.reduceat(vals, first) % p
         nonzero = vals != 0
         key, vals = key[first[nonzero]], vals[nonzero]
-    starts = np.searchsorted(key, np.arange(nvec + 1) * length)
+    # a cleared vector has no entry left, so the next read vector's start
+    # ends the run of the one before it
+    starts = np.searchsorted(key, read * length)
     key %= length    # now the entries, run after run
     if p == 2:
-        return rank_gf2_packed(_pack_index_runs(key, starts, length), length)
-    starts, key, vals = starts.tolist(), key.tolist(), vals.tolist()
-    vectors = [dict(zip(key[a:b], vals[a:b]))
-               for a, b in zip(starts, starts[1:])]
-    del rows, cols, vals, key, starts
-    return sparse_prefix_ranks(vectors, length, p, _ALL)[0]
+        (rank,), pivots = _gf2_reduce(_pack_index_runs(key, starts, length),
+                                      length, _ALL)
+    else:
+        starts, key, vals = starts.tolist(), key.tolist(), vals.tolist()
+        vectors = [dict(zip(key[a:b], vals[a:b]))
+                   for a, b in zip(starts, starts[1:])]
+        del rows, cols, vals, key, starts
+        (rank,), pivots = _modp_reduce(vectors, length, p, _ALL)
+    if not wide:
+        return rank, None
+    return rank, np.fromiter(pivots, dtype=np.int64, count=len(pivots))
 
 
 def sparse_rank_modp(columns, nrows: int, p: int) -> int:
@@ -349,16 +416,24 @@ def sparse_prefix_ranks(columns, nrows: int, p: int, counts) -> list[int]:
 
     `columns` is an iterable of dict columns, as `sparse_rank_modp` takes
     them, or over F_2 of index lists.  No column is read past the last
-    count or once the rank reaches nrows.  Over odd p each column is
-    reduced against a pivot table keyed on the lowest (largest-index)
-    nonzero row, the scheme used for boundary-matrix reduction.  Over F_2
-    each column is packed as it is read (`_packed_rows`) and reduced by
-    `_gf2_prefix_ranks`.  Every count from the one that reaches rank
-    nrows on reads nrows.
+    count or once the rank reaches nrows.  Over odd p the columns are
+    reduced by `_modp_reduce`; over F_2 each column is packed as it is
+    read (`_packed_rows`) and reduced by `_gf2_reduce`.  Every count from
+    the one that reaches rank nrows on reads nrows.
     """
     _check_p(p)
     if p == 2:
-        return _gf2_prefix_ranks(_packed_rows(columns, nrows), nrows, counts)
+        return _gf2_reduce(_packed_rows(columns, nrows), nrows, counts)[0]
+    return _modp_reduce(columns, nrows, p, counts)[0]
+
+
+def _modp_reduce(columns, nrows: int, p: int, counts):
+    """(ranks, pivot table) of the odd-p `sparse_prefix_ranks`.
+
+    Each column is reduced against a pivot table keyed on the lowest
+    (largest-index) nonzero row, the scheme used for boundary-matrix
+    reduction, until it is zero or has a new lowest row.
+    """
     pivot: dict[int, dict[int, int]] = {}
     cols = iter(columns)
     ranks, done = [], 0
@@ -384,7 +459,7 @@ def sparse_prefix_ranks(columns, nrows: int, p: int, counts) -> list[int]:
                     break
         done = c
         ranks.append(len(pivot))
-    return ranks
+    return ranks, pivot
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +521,17 @@ def pack_rows_gf2(rows, ncols: int) -> list[int]:
 def rank_gf2_packed(M, ncols: int) -> int:
     """Rank over GF(2) of the rows M, each an int of `ncols` bits; M may
     be any iterable, consumed one row at a time."""
-    return _gf2_prefix_ranks(M, ncols, _ALL)[0]
+    return _gf2_reduce(M, ncols, _ALL)[0][0]
 
 
-def _gf2_prefix_ranks(M, ncols: int, counts) -> list[int]:
-    """The rank over GF(2) of the first c rows of M, for each c of the
-    ascending `counts`, M as `rank_gf2_packed` takes it.
+def _gf2_reduce(M, ncols: int, counts):
+    """(ranks, pivot table): the rank over GF(2) of the first c rows of
+    M, for each c of the ascending `counts`, M as `rank_gf2_packed` takes
+    it, and the pivot rows keyed on their highest set bit.
 
-    Each row is reduced against a table of earlier pivot rows keyed on
-    their highest set bit, until it is zero or has a new highest bit.
-    Once the rank reaches ncols no row is read.
+    Each row is reduced against the earlier pivot rows until it is zero
+    or has a new highest bit.  Once the rank reaches ncols no row is
+    read.
     """
     pivots: dict[int, int] = {}
     rows = iter(M)
@@ -474,7 +550,7 @@ def _gf2_prefix_ranks(M, ncols: int, counts) -> list[int]:
                     break
         done = c
         ranks.append(len(pivots))
-    return ranks
+    return ranks, pivots
 
 
 def rank_gf2_dense(A) -> int:

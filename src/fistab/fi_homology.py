@@ -3,11 +3,12 @@
 `koszul_columns` is the one generator of the subset-indexed Koszul
 boundary, as sparse columns; `koszul_rank` ranks them with
 `exactlin.sparse_prefix_ranks`, and `koszul_boundary` is their dense view.
-`total_entries` and `total_rank` totalize a double complex given by its
-blocks and two block maps, with sign (-1)^x on the vertical map: each
-block map hands over entry arrays (rows, cols, vals), which are offset
-and concatenated into those of the total differential and ranked by
-`exactlin.entry_rank`.  They serve the hyper homology of complexes of
+`total_entries` totalizes a double complex given by its blocks and two
+block maps, with sign (-1)^x on the vertical map: each block map hands
+over entry arrays (rows, cols, vals), which are offset and concatenated
+into those of the total differential.  The consecutive total
+differentials of one complex are ranked in one pass by
+`exactlin.complex_ranks`.  It serves the hyper homology of complexes of
 windows here, where a Koszul block is its sparse columns flattened once
 and a differential block the nonzeros of its dense matrix, and both bar
 double complexes in `congruence`.
@@ -385,7 +386,7 @@ def tensor_identity(count: int, entries, nrows: int, ncols: int):
 def total_entries(blocks, horizontal, vertical, t: int):
     """Entry arrays (rows, cols, vals) and the shape (nrows, ncols) of the
     total differential d_h + (-1)^x d_v of a double complex from degree t
-    to t - 1, with integer values; `exactlin.entry_rank` and
+    to t - 1, with integer values; `exactlin.complex_ranks` and
     `entries_to_dense` reduce them mod p.
 
     blocks(t) lists the (x, y, size) blocks with x + y = t, in the order
@@ -411,12 +412,6 @@ def total_entries(blocks, horizontal, vertical, t: int):
         parts = [(np.zeros(0, dtype=np.int64),) * 3]
     rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
     return rows, cols, vals, nrows, ncols
-
-
-def total_rank(blocks, horizontal, vertical, t: int, p: int) -> int:
-    """Rank over F_p of the total differential from degree t to t - 1."""
-    return exactlin.entry_rank(
-        *total_entries(blocks, horizontal, vertical, t), p)
 
 
 def _hyper_double(C: FIComplexWindow, n: int):
@@ -453,8 +448,10 @@ def hyper_homology_table(C: FIComplexWindow, k_max: int) -> dict[int, list[int]]
                                    for k in range(C.jmin, k_max + 1)}
     for n in range(C.N + 1):
         blocks, koszul, differential = _hyper_double(C, n)
-        ranks = {t: total_rank(blocks, koszul, differential, t, C.p)
-                 for t in range(C.jmin, k_max + 2)}
+        degrees = range(C.jmin, k_max + 2)
+        ranks = dict(zip(degrees, exactlin.complex_ranks(
+            (total_entries(blocks, koszul, differential, t) for t in degrees),
+            C.p)))
         for k in range(C.jmin, k_max + 1):
             dim = sum(size for _, _, size in blocks(k))
             table[k][n] = dim - ranks[k] - ranks[k + 1]

@@ -176,6 +176,78 @@ def test_bar_guard_falls_back_or_raises():
         cg.bar_homology_oracle(tab, 2, 2)
 
 
+@pytest.mark.parametrize("G,k,p", [([3], -1, 3), ([3] * 4, -1, 3),
+                                   ([0], 1, 2), ([-2], 1, 2)])
+def test_bar_oracle_rejects_negative_degree_or_order(G, k, p):
+    with pytest.raises(ValueError, match="nonnegative|positive"):
+        cg.bar_homology_oracle(G, k, p)
+
+
+def test_bar_from_table_rejects_negative_degree():
+    with pytest.raises(ValueError, match="nonnegative"):
+        cg.bar_homology_from_table(cg._cyclic_table(3), -1, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_bar_clearing_skips_the_rows_proved_dependent(monkeypatch, p):
+    # (Z/p)^2: d_3 and d_4 are both wide, so every pivot of d_3 names a
+    # row of d_4 that is never handed to the reduction
+    table = cg._product_table([cg._cyclic_table(p)] * 2)
+    order = len(table)
+    boundaries = [cg._bar_entries(table, j) for j in (3, 4)]
+    plain = [exactlin.entry_rank(*b, p) for b in boundaries]
+    name = "_gf2_reduce" if p == 2 else "_modp_reduce"
+    reduce, fed = getattr(exactlin, name), []
+
+    def counting(vectors, length, *rest):
+        vectors = list(vectors)
+        fed.append(len(vectors))
+        return reduce(vectors, length, *rest)
+
+    monkeypatch.setattr(exactlin, name, counting)
+    assert exactlin.complex_ranks(boundaries, p) == plain
+    assert plain[0] > 0
+    assert fed == [order ** 2, order ** 3 - plain[0]]
+    assert cg.bar_homology_from_table(table, 3, p) == 4
+
+
+def _composes_to_zero(monkeypatch, run) -> int:
+    """Run `run` with `exactlin.complex_ranks` recording what it is handed,
+    check with dense products that each boundary times the next is 0 mod
+    p, and return the number of pairs checked."""
+    handed, complex_ranks = [], exactlin.complex_ranks
+
+    def recording(boundaries, p):
+        boundaries = list(boundaries)
+        handed.append((boundaries, p))
+        return complex_ranks(boundaries, p)
+
+    monkeypatch.setattr(exactlin, "complex_ranks", recording)
+    run()
+    pairs = 0
+    for boundaries, p in handed:
+        dense = [exactlin.entries_to_dense(*b, p) for b in boundaries]
+        for D, E in zip(dense, dense[1:]):
+            assert not exactlin.matmul_modp(D, E, p).any()
+            pairs += 1
+    return pairs
+
+
+@pytest.mark.parametrize("args", [(2, 2, 2, 1), (3, 2, 1, 1)])
+def test_equivariant_and_hyper_bar_totals_compose_to_zero(monkeypatch, args):
+    # the equivariant totals in degrees -1..1 give two pairs, the hyper
+    # bar totals in degrees k and k + 1 one more
+    assert _composes_to_zero(
+        monkeypatch, lambda: cg.theoremC_check(*args)) >= 3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hyper_table_totals_compose_to_zero(monkeypatch, p):
+    C = fi_homology.two_term_complex(fi_core.random_induced_map(p, 4, 1, 2, 5))
+    assert _composes_to_zero(
+        monkeypatch, lambda: fi_homology.hyper_homology_table(C, 2)) >= 5 * 3
+
+
 # homology FI-modules ---------------------------------------------------------
 
 

@@ -453,6 +453,58 @@ def test_entry_rank_index_out_of_range_raises(p, shape, side, bad):
         exactlin.entry_rank(rows, cols, np.array([1, -1, 1]), nrows, ncols, p)
 
 
+@st.composite
+def complex_cases(draw):
+    """(p, boundaries as entry arrays, their dense matrices mod p): a
+    chain complex of 2 to 4 boundaries with d_k d_{k+1} = 0 mod p, each
+    d_{k+1} a random combination of a kernel basis of d_k.  Dimensions
+    0..9 give wide, tall, square and empty boundaries in every mix; each
+    nonzero is split into coincident summands, often negative, and
+    entries that are zero mod p are scattered in."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    dims = draw(st.lists(st.integers(0, 9), min_size=3, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+
+    def sparse(m, n):
+        return rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < density)
+
+    dense = [sparse(dims[0], dims[1]) % p]
+    for n in dims[2:]:
+        K = exactlin.kernel_basis_modp(dense[-1], p)[0]
+        dense.append(exactlin.matmul_modp(K, sparse(K.shape[1], n), p))
+    boundaries = []
+    for D in dense:
+        r, c = np.nonzero(D)
+        part = rng.integers(-2 * p, 2 * p + 1, size=r.size)
+        zr = rng.integers(0, max(D.shape[0], 1), size=D.size // 3)
+        zc = rng.integers(0, max(D.shape[1], 1), size=D.size // 3)
+        boundaries.append((
+            np.concatenate([r, r, zr]), np.concatenate([c, c, zc]),
+            np.concatenate([part, D[r, c] - part,
+                            p * rng.integers(-2, 3, size=zr.size)]),
+            *D.shape))
+    return p, boundaries, dense
+
+
+@settings(max_examples=300, deadline=None)
+@given(complex_cases())
+def test_complex_ranks_match_entry_rank_and_rref(case):
+    p, boundaries, dense = case
+    for D, E in zip(dense, dense[1:]):
+        assert not exactlin.matmul_modp(D, E, p).any()
+    want = [len(exactlin.rref_modp(D, p)[1]) if D.size else 0 for D in dense]
+    assert [exactlin.entry_rank(*b, p) for b in boundaries] == want
+    assert exactlin.complex_ranks(boundaries, p) == want
+    assert exactlin.complex_ranks(iter(boundaries), p) == want
+
+
+def test_complex_ranks_reject_boundaries_that_do_not_compose():
+    empty = (np.zeros(0, dtype=np.int64),) * 3
+    with pytest.raises(ValueError, match="follows one with 3 columns"):
+        exactlin.complex_ranks([(*empty, 2, 3), (*empty, 4, 5)], 3)
+
+
 def test_rank_modp_gf2_above_dense_threshold():
     # A = L D U with L, U unit triangular and D a 0/1 diagonal with r
     # ones has rank exactly r; float64 products of 0/1 entries this
