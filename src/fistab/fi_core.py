@@ -12,6 +12,18 @@ the congruence homology modules) is a signed permutation module and is
 built by the one constructor `signed_permutation_window`, from basis
 labels and the signed action of each s_i on them.
 
+Matrices are stored dense.  A window whose every matrix has at most one
+nonzero entry mod p in each column (a monomial window: all of the
+constructor's output, and their direct sums, shifts and derivatives) is
+also read, by the one reader `read_labels`, into label maps: per matrix
+the target row of each column and its value.  `validate` (reading them
+afresh) and `observed_torsion` compose label maps, O(dim) per product,
+`shift` composes them too, and `derivative` keeps the rows outside the
+image of the structure map, all without a dense product or elimination;
+`label_maps` keeps them in the window's cache.  Other windows take the
+dense route, which the reader selects by failing on their first matrix
+with a fuller column.
+
 Points of [n] = {0, ..., n-1} are 0-indexed throughout; s_i swaps points
 i and i+1 for 0 <= i <= n-2.
 """
@@ -178,9 +190,9 @@ class FIModuleWindow:
     act: list[list[np.ndarray]]      # act[n][i]: s_i on level n, i <= n-2
     phi: list[np.ndarray | None]     # phi[n]: level n-1 -> level n; phi[0] None
     name: str = ""
-    # derived data (insertion maps and their columns, Koszul ranks) computed
-    # once per window; valid because a window's matrices are not mutated
-    # after construction
+    # derived data (insertion maps and their columns, label maps, Koszul
+    # ranks, torsion) computed once per window; valid because a window's
+    # matrices are not mutated after construction
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def insertion_map(self, m: int, t: int) -> np.ndarray:
@@ -212,14 +224,158 @@ class FIModuleWindow:
         return out
 
 
+# ---------------------------------------------------------------------------
+# label maps of monomial windows
+# ---------------------------------------------------------------------------
+
+# A matrix with at most one nonzero entry mod p in each column is kept as
+# its label map: two int64 arrays, one entry per column plus one more.
+# rows[j] is the row of the nonzero entry of column j and vals[j] its value
+# mod p; a zero column has rows[j] = -1 and vals[j] = 0, and so does the
+# extra last entry.  Indexing by -1 thus reads a zero column, so the
+# composite A @ B of two label maps is (rows_A[rows_B],
+# vals_A[rows_B] * vals_B % p), a zero column wherever either factor has
+# one; a product of two values below 2**31 fits in int64.
+
+
+def column_labels(A, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The label map of A mod p, or None when some column of A has two
+    nonzero entries mod p."""
+    A = exactlin.asmod(A, p)
+    ncols = A.shape[1]
+    nonzero = A != 0
+    if np.count_nonzero(nonzero) > ncols:
+        return None
+    r, c = np.divmod(np.flatnonzero(nonzero), ncols)
+    if c.size and np.bincount(c).max() > 1:
+        return None
+    rows = np.full(ncols + 1, -1, dtype=np.int64)
+    vals = np.zeros(ncols + 1, dtype=np.int64)
+    rows[c] = r
+    vals[c] = A[r, c]
+    return rows, vals
+
+
+def read_labels(M: FIModuleWindow):
+    """(act, phi) of M as label maps, act[n][i] that of s_i on level n
+    and phi[n] that of the structure map into level n (phi[0] None).
+
+    None unless every matrix has the shape its level asks for and at most
+    one nonzero entry mod p in each column; the scan stops at the first
+    matrix that fails.  Reads the matrices afresh; `label_maps` keeps the
+    result in M's cache.
+    """
+    if len(M.dims) != M.N + 1 or len(M.act) != M.N + 1 \
+            or len(M.phi) != M.N + 1:
+        return None
+
+    def read(A, shape):
+        if A is None or A.shape != shape:
+            return None
+        return column_labels(A, M.p)
+
+    act: list[list] = []
+    phi: list = [None]
+    for n, d in enumerate(M.dims):
+        if n:
+            phi.append(read(M.phi[n], (d, M.dims[n - 1])))
+            if phi[n] is None:
+                return None
+        if len(M.act[n]) != max(0, n - 1):
+            return None
+        act.append([])
+        for A in M.act[n]:
+            act[n].append(read(A, (d, d)))
+            if act[n][-1] is None:
+                return None
+    return act, phi
+
+
+def label_maps(M: FIModuleWindow):
+    """read_labels(M), kept in M's cache."""
+    if "labels" not in M.cache:
+        M.cache["labels"] = read_labels(M)
+    return M.cache["labels"]
+
+
+def _dense(L, nrows: int) -> np.ndarray:
+    """The nrows-row matrix of a label map."""
+    rows, vals = L
+    A = np.zeros((nrows, len(rows) - 1), dtype=np.int64)
+    cols = np.flatnonzero(rows[:-1] >= 0)
+    A[rows[cols], cols] = vals[cols]
+    return A
+
+
+class _DenseAlgebra:
+    """Products, identities and ranks of dense matrices mod p."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def mul(self, A, B):
+        return exactlin.matmul_modp(A, B, self.p)
+
+    @staticmethod
+    def one(d: int) -> np.ndarray:
+        return np.eye(d, dtype=np.int64)
+
+    @staticmethod
+    def same(X, Y) -> bool:
+        return bool((X == Y).all())
+
+    def rank(self, X) -> int:
+        return exactlin.rank_modp(X, self.p)
+
+
+class _LabelAlgebra:
+    """The same operations on label maps, each O(columns)."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def mul(self, A, B):
+        rows_b, vals_b = B
+        return A[0][rows_b], A[1][rows_b] * vals_b % self.p
+
+    @staticmethod
+    def one(d: int):
+        return (np.append(np.arange(d, dtype=np.int64), -1),
+                np.append(np.ones(d, dtype=np.int64), 0))
+
+    @staticmethod
+    def same(X, Y) -> bool:
+        return np.array_equal(X[0], Y[0]) and np.array_equal(X[1], Y[1])
+
+    @staticmethod
+    def rank(X) -> int:
+        # the nonzero columns are multiples of the basis vectors they hit;
+        # bincount, as np.unique would import numpy.ma on first use
+        return int(np.count_nonzero(np.bincount(X[0] + 1)[1:]))
+
+
 def validate(M: FIModuleWindow) -> list[str]:
-    """All consistency identities; returns a list of violation messages."""
+    """All consistency identities; returns a list of violation messages.
+
+    A window whose matrices all have at most one nonzero entry mod p in
+    each column is checked on its label maps, read afresh; any other
+    window on its dense matrices, with the same messages.
+    """
+    labels = read_labels(M)
+    if labels is None:
+        return _validate_dense(M)
+    return _identities(M, _LabelAlgebra(M.p), *labels)
+
+
+def _validate_dense(M: FIModuleWindow) -> list[str]:
+    return _identities(M, _DenseAlgebra(M.p), M.act, M.phi)
+
+
+def _identities(M: FIModuleWindow, alg, act, phi) -> list[str]:
+    """The checks of `validate`: shapes on M's matrices, identities on
+    act and phi, which hold M's matrices in the form alg multiplies."""
     bad: list[str] = []
-    p = M.p
-
-    def mul(A, B):
-        return exactlin.matmul_modp(A, B, p)
-
+    mul, same = alg.mul, alg.same
     if len(M.dims) != M.N + 1:
         return [f"dims has length {len(M.dims)}, expected N+1={M.N+1}"]
     for n in range(M.N + 1):
@@ -231,17 +387,17 @@ def validate(M: FIModuleWindow) -> list[str]:
             if A.shape != (d, d):
                 bad.append(f"level {n}: s_{i} matrix has shape {A.shape}, want {(d, d)}")
                 continue
-            if not (mul(A, A) == np.eye(d, dtype=np.int64)).all():
+            if not same(mul(act[n][i], act[n][i]), alg.one(d)):
                 bad.append(f"level {n}: involution fails for s_{i}")
         for i in range(n - 2):
-            A, B = M.act[n][i], M.act[n][i + 1]
+            A, B = act[n][i], act[n][i + 1]
             AB = mul(A, B)
-            if not (mul(AB, A) == mul(B, AB)).all():
+            if not same(mul(AB, A), mul(B, AB)):
                 bad.append(f"level {n}: braid relation fails at s_{i}, s_{i+1}")
         for i in range(n - 1):
             for j in range(i + 2, n - 1):
-                A, B = M.act[n][i], M.act[n][j]
-                if not (mul(A, B) == mul(B, A)).all():
+                A, B = act[n][i], act[n][j]
+                if not same(mul(A, B), mul(B, A)):
                     bad.append(f"level {n}: s_{i} and s_{j} do not commute")
         if n >= 1:
             P = M.phi[n]
@@ -249,11 +405,11 @@ def validate(M: FIModuleWindow) -> list[str]:
                 bad.append(f"level {n}: structure map has wrong shape")
                 continue
             for i in range(n - 2):
-                if not (mul(P, M.act[n - 1][i]) == mul(M.act[n][i], P)).all():
+                if not same(mul(phi[n], act[n - 1][i]), mul(act[n][i], phi[n])):
                     bad.append(f"level {n}: structure map not equivariant at s_{i}")
         if n >= 2:
-            PP = mul(M.phi[n], M.phi[n - 1])
-            if not (mul(M.act[n][n - 2], PP) == PP).all():
+            PP = mul(phi[n], phi[n - 1])
+            if not same(mul(act[n][n - 2], PP), PP):
                 bad.append(f"level {n}: two-step symmetry fails")
     return bad
 
@@ -342,17 +498,6 @@ def induced_basis(V: FBWindow, n: int) -> list[tuple[tuple[int, ...], int]]:
     return basis
 
 
-def _signed_columns(A: np.ndarray, p: int) -> list[tuple[int, int]]:
-    """(row, +1 or -1) of the one nonzero entry of each column of A mod p."""
-    A = A % p
-    rows = np.nonzero(A.T)[1]
-    if ((A != 0).sum(axis=0) != 1).any() or not np.isin(
-            A[rows, np.arange(A.shape[1])], (1, p - 1)).all():
-        raise ValueError("induced_module takes only FB blocks with one "
-                         "entry +1 or -1 in each column")
-    return [(int(r), 1 if A[r, c] == 1 else -1) for c, r in enumerate(rows)]
-
-
 def induced_module(V: FBWindow, N: int) -> FIModuleWindow:
     """Left adjoint of the forgetful functor, evaluated on the window.
 
@@ -364,7 +509,17 @@ def induced_module(V: FBWindow, N: int) -> FIModuleWindow:
     nonzero entry, +1 or -1 mod p, or ValueError is raised.
     """
     exactlin._check_p(V.p)  # before the blocks are read mod p
-    twist = [[_signed_columns(A, V.p) for A in mats] for mats in V.trans]
+
+    def signed_columns(A: np.ndarray) -> list[tuple[int, int]]:
+        # (row, +1 or -1) of the one nonzero entry of each column of A
+        L = column_labels(A, V.p)
+        if L is None or not np.isin(L[1][:-1], (1, V.p - 1)).all():
+            raise ValueError("induced_module takes only FB blocks with one "
+                             "entry +1 or -1 in each column")
+        return [(r, 1 if v == 1 else -1)
+                for r, v in zip(L[0][:-1].tolist(), L[1][:-1].tolist())]
+
+    twist = [[signed_columns(A) for A in mats] for mats in V.trans]
 
     def act(n: int, i: int, label):
         sub, v = label
@@ -514,6 +669,27 @@ def shift(M: FIModuleWindow, a: int = 1) -> FIModuleWindow:
 
 
 def _shift_once(M: FIModuleWindow) -> FIModuleWindow:
+    """Shift by one; a monomial window is shifted on its label maps, and
+    the result keeps its own in its cache."""
+    labels = label_maps(M)
+    if labels is None:
+        return _shift_dense(M)
+    act, phi = labels
+    alg = _LabelAlgebra(M.p)
+    N = M.N - 1
+    dims = [M.dims[n + 1] for n in range(N + 1)]
+    phi_s = [None] + [alg.mul(act[n + 1][n - 1], phi[n + 1])
+                      for n in range(1, N + 1)]
+    S = FIModuleWindow(M.p, N, dims,
+                       [M.act[n + 1][:max(0, n - 1)] for n in range(N + 1)],
+                       [None] + [_dense(phi_s[n], dims[n])
+                                 for n in range(1, N + 1)])
+    S.cache["labels"] = ([act[n + 1][:max(0, n - 1)] for n in range(N + 1)],
+                         phi_s)
+    return S
+
+
+def _shift_dense(M: FIModuleWindow) -> FIModuleWindow:
     p = M.p
     N = M.N - 1
     dims = [M.dims[n + 1] for n in range(N + 1)]
@@ -527,6 +703,8 @@ def _shift_once(M: FIModuleWindow) -> FIModuleWindow:
 
 def derivative(M: FIModuleWindow, a: int = 1) -> FIModuleWindow:
     """Iterated cokernel of the canonical map into the shift."""
+    if a < 0 or a > M.N:
+        raise WindowError(f"cannot take {a} derivatives inside window {M.N}")
     out = M
     for _ in range(a):
         out = _derivative_once(out)
@@ -535,10 +713,38 @@ def derivative(M: FIModuleWindow, a: int = 1) -> FIModuleWindow:
 
 
 def _derivative_once(M: FIModuleWindow) -> FIModuleWindow:
+    """The cokernel of the canonical map into the shift.
+
+    For a monomial window the image of each level is spanned by the basis
+    vectors its structure map hits, so the quotient keeps the other
+    labels, the rows `free`: `quotient_by_images` reads
+    proj @ X[:, free] = X[free][:, free] there, without an elimination.
+    """
     S = _shift_once(M)
-    # canonical map at level n is the structure map of M into level n+1
-    images = [M.phi[n + 1] for n in range(S.N + 1)]
-    return quotient_by_images(S, images)
+    labels = label_maps(M)
+    if labels is None:
+        # canonical map at level n is the structure map of M into level n+1
+        return quotient_by_images(S, [M.phi[n + 1] for n in range(S.N + 1)])
+    frees = []
+    for n in range(S.N + 1):
+        hit = np.zeros(S.dims[n] + 1, dtype=bool)
+        hit[labels[1][n + 1][0]] = True
+        frees.append(np.flatnonzero(~hit[:-1]))
+
+    def keep(X, n: int, m: int) -> np.ndarray:
+        return X[np.ix_(frees[n], frees[m])] % M.p
+
+    return FIModuleWindow(
+        M.p, S.N, [free.size for free in frees],
+        [[keep(A, n, n) for A in S.act[n]] for n in range(S.N + 1)],
+        [None] + [keep(S.phi[n], n, n - 1) for n in range(1, S.N + 1)],
+        name=f"quot({S.name})")
+
+
+def _derivative_dense(M: FIModuleWindow) -> FIModuleWindow:
+    """One derivative through dense products and eliminations."""
+    S = _shift_dense(M)
+    return quotient_by_images(S, [M.phi[n + 1] for n in range(S.N + 1)])
 
 
 def observed_torsion(M: FIModuleWindow) -> tuple[bool, int]:
@@ -546,21 +752,27 @@ def observed_torsion(M: FIModuleWindow) -> tuple[bool, int]:
 
     An element of level n counts as torsion when it dies under the
     composite structure map to the top of the window; the second entry is
-    -1 when no level has any.  The answer is kept in M's cache.
+    -1 when no level has any.  A monomial window composes its label maps,
+    whose rank is the number of rows the composite hits.  The answer is
+    kept in M's cache.
     """
     if "torsion" in M.cache:
         return M.cache["torsion"]
-    p = M.p
+    labels = label_maps(M)
+    if labels is None:
+        alg, phi = _DenseAlgebra(M.p), M.phi
+    else:
+        alg, phi = _LabelAlgebra(M.p), labels[1]
     h0 = -1
     all_torsion = True
     # composite_phi(n, N), built from the top: one product per level
-    comp = np.eye(M.dims[M.N], dtype=np.int64)
+    comp = alg.one(M.dims[M.N])
     for n in range(M.N, -1, -1):
         if n < M.N:
-            comp = exactlin.matmul_modp(comp, M.phi[n + 1], p)
+            comp = alg.mul(comp, phi[n + 1])
         if M.dims[n] == 0:
             continue
-        nul = exactlin.nullity_modp(comp, p)
+        nul = M.dims[n] - alg.rank(comp)
         if nul:
             h0 = max(h0, n)
         if nul < M.dims[n]:

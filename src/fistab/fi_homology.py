@@ -19,6 +19,9 @@ using only levels below it, whose ranks are computed once per window.
 `presentation_profiles` reads H_0 apart from it, as the codimension of
 the S_n-span of the image of the level below (closed under the s_i,
 without insertion maps or Koszul signs), and H_1 from the rank table.
+For a monomial window (one with `fi_core.label_maps`) that span is the
+orbit closure, under the s_i, of the labels the structure map hits;
+other windows close the span by dense elimination.
 `presentation_degrees` raises when the two H_0 profiles differ.
 
 The shifts Sigma^s M that the stable and local degrees are defined by
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import exactlin
 from .fi_core import (FIModuleWindow, FIMapWindow, WindowError, shift,
-                      derivative, observed_torsion)
+                      derivative, observed_torsion, label_maps)
 
 
 class InternalConsistencyError(Exception):
@@ -187,12 +190,39 @@ def degree_of_profile(profile: list[int]) -> int:
 def _generated_rank(M: FIModuleWindow, n: int) -> int:
     """Dimension of the S_n-span of im phi_n, for n >= 1.
 
+    In a monomial window (`fi_core.label_maps`) im phi_n is spanned by the
+    basis vectors phi_n hits, and each s_i sends a basis vector to a
+    multiple of one basis vector or to 0, so the S_n-span is spanned by
+    the orbit closure of the hit labels under the s_i.  Other windows take
+    the dense route, `_span_rank`.  Either reads only M.phi and M.act.
+    """
+    labels = label_maps(M)
+    if labels is None:
+        return _span_rank(M, n)
+    act, phi = labels
+    seen = np.zeros(M.dims[n] + 1, dtype=bool)
+    seen[-1] = True  # the label -1 of a zero column
+    new = phi[n][0]
+    while new.size:
+        fresh = np.zeros_like(seen)
+        fresh[new] = True
+        new = np.flatnonzero(fresh & ~seen)
+        seen[new] = True
+        if not act[n]:
+            break
+        new = np.concatenate([rows[new] for rows, _ in act[n]])
+    return int(seen[:-1].sum())
+
+
+def _span_rank(M: FIModuleWindow, n: int) -> int:
+    """`_generated_rank` on dense matrices.
+
     The row space of phi_n^T is closed under the s_i of level n: each
     round applies them to the rows the previous round added, reduces the
     results against the basis so far, and adds the echelon rows of what
     is left, until nothing is left.  The basis is kept reduced (the
     identity on its pivot columns), so no round re-reduces the span
-    found before it.  Reads only M.phi and M.act.
+    found before it.
     """
     p = M.p
     R, piv = exactlin.rref_modp(M.phi[n].T, p)

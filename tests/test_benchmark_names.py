@@ -44,7 +44,10 @@ from fistab import congruence, fi_core, fi_homology
 t = tracer.Tracer()
 t.install()
 for p in (2, 3):
-    fi_homology.invariants(fi_core.random_presented(p, 5, 1, 2, p))
+    # seed p gives a monomial window, seed 7 one with a fuller column,
+    # which takes the dense rank route
+    for seed in (p, 7):
+        fi_homology.invariants(fi_core.random_presented(p, 5, 1, 2, seed))
     cyclic = np.add.outer(np.arange(p), np.arange(p)) % p
     for j in (1, 2, 3):
         congruence._bar_rank(cyclic, j, p)

@@ -175,6 +175,28 @@ def test_fimod_commands_reject_invalid_window(tmp_path, capsys):
     assert doc["verdict"] == "invalid" and doc["outputs"]["errors"]
 
 
+def test_fimod_validate_monomial_window_messages(tmp_path, capsys):
+    # saved free windows with a flipped sign and with swapped structure
+    # map columns; the messages are those the dense checks gave
+    M = fi_core.free_module(3, 1, 4)
+    A = M.act[3][0].copy()
+    A[1, 0] = 2
+    M.act[3][0] = A
+    N = fi_core.free_module(3, 1, 4)
+    N.phi[4] = N.phi[4][:, [1, 0, 2]]
+    want = [["level 3: involution fails for s_0",
+             "level 3: braid relation fails at s_0, s_1",
+             "level 3: structure map not equivariant at s_0",
+             "level 4: structure map not equivariant at s_0"],
+            ["level 4: structure map not equivariant at s_1"]]
+    for W, errors in zip((M, N), want):
+        f = tmp_path / "w.json"
+        fi_core.save(W, str(f))
+        code, out, _ = run(capsys, "fimod", "validate", str(f), "--json")
+        assert code == 1
+        assert json.loads(out)["outputs"]["errors"] == errors
+
+
 def test_feasibility_guard_exit_code(capsys):
     code, _, err = run(capsys, "spb", "build", "--m", "4", "--q", "2",
                        "--n", "6")

@@ -406,6 +406,47 @@ def test_theoremC_rejects_bad_params():
         cg.theoremC_check(2, 2, 4, 1)
 
 
+# full reports of application_b_empirical(k, p, N), measured with every
+# check on dense matrices
+APPLICATION_B = {
+    (1, 2, 7): {
+        "module": "H_1(ker GL(Z/4) -> GL(Z/2))",
+        "dims": [0, 1, 4, 9, 16, 25, 36, 49], "delta": 2,
+        "delta_certified": True, "t0": 2, "t1": -1, "hmax": -1,
+        "hmax_certified": True, "fit_coeffs": [0, 1, 2], "fit_onset": 0,
+        "bounds": {"delta_le": 2, "hmax_le": 8, "t0_le": 11, "t1_le": 20},
+        "delta_ok": True, "t0_ok": True, "onset_ok": True, "all_ok": True},
+    (2, 2, 6): {
+        "module": "H_2(ker GL(Z/4) -> GL(Z/2))",
+        "dims": [0, 1, 10, 45, 136, 325, 666], "delta": 4,
+        "delta_certified": True, "t0": 4, "t1": -1, "hmax": -1,
+        "hmax_certified": True, "fit_coeffs": [0, 1, 8, 18, 12],
+        "fit_onset": 0,
+        "bounds": {"delta_le": 4, "hmax_le": 18, "t0_le": 23, "t1_le": 42},
+        "delta_ok": True, "t0_ok": True, "onset_ok": True, "all_ok": True},
+    (2, 3, 5): {
+        "module": "H_2(ker GL(Z/9) -> GL(Z/3))",
+        "dims": [0, 1, 10, 45, 136, 325], "delta": 4,
+        "delta_certified": False, "t0": 4, "t1": -1, "hmax": -1,
+        "hmax_certified": True, "fit_coeffs": [0, 1, 8, 18, 12],
+        "fit_onset": 0,
+        "bounds": {"delta_le": 4, "hmax_le": 18, "t0_le": 23, "t1_le": 42},
+        "delta_ok": True, "t0_ok": True, "onset_ok": True, "all_ok": True},
+    (1, 3, 6): {
+        "module": "H_1(ker GL(Z/9) -> GL(Z/3))",
+        "dims": [0, 1, 4, 9, 16, 25, 36], "delta": 2,
+        "delta_certified": True, "t0": 2, "t1": -1, "hmax": -1,
+        "hmax_certified": True, "fit_coeffs": [0, 1, 2], "fit_onset": 0,
+        "bounds": {"delta_le": 2, "hmax_le": 8, "t0_le": 11, "t1_le": 20},
+        "delta_ok": True, "t0_ok": True, "onset_ok": True, "all_ok": True},
+}
+
+
+@pytest.mark.parametrize("args", sorted(APPLICATION_B))
+def test_application_b_reports_pinned(args):
+    assert cg.application_b_empirical(*args) == APPLICATION_B[args]
+
+
 def test_application_b_small():
     out = cg.application_b_empirical(1, 2, 5)
     assert out["all_ok"]

@@ -435,3 +435,206 @@ def test_decode_rejects_garbage():
     doc["levels"][1]["inclusion"] = [[1], [1]]
     with pytest.raises(ValueError):
         fi_core.decode(doc)
+
+
+# the label route of monomial windows ------------------------------------------
+
+LABEL_PRIMES = [2, 3, 5, P_MAX]
+
+
+def random_monomial_fb(p, top, rng):
+    """Trivial, sign and regular pieces in random degrees <= top, each
+    level conjugated by a random signed permutation matrix (its inverse
+    is its transpose, the signs being +1 or -1)."""
+    parts = []
+    for m in range(top + 1):
+        for kind in rng.integers(0, 3, size=rng.integers(0, 3)):
+            V = (fi_core.fb_regular if kind == 2 else fi_core.fb_trivial)(
+                p, m, top)
+            if kind == 1:
+                V.trans[m] = [np.full((1, 1), p - 1)] * max(0, m - 1)
+            parts.append(V)
+    V = fi_core.fb_direct_sum(*parts) if parts else fi_core.fb_zero(p, top)
+    for m, d in enumerate(V.dims):
+        Q = np.zeros((d, d), dtype=np.int64)
+        Q[rng.permutation(d), np.arange(d)] = rng.choice([1, p - 1], size=d)
+        V.trans[m] = [exactlin.matmul_modp(exactlin.matmul_modp(Q, A, p),
+                                           Q.T, p) for A in V.trans[m]]
+    return V
+
+
+@st.composite
+def monomial_windows(draw):
+    """Constant, torsion point, free, induced on a random monomial FB
+    window, hk_fi_module (p in {2, 3}, N <= 4), or a direct sum of two."""
+    from fistab import congruence
+    p = draw(st.sampled_from(LABEL_PRIMES))
+    N = draw(st.integers(1, 5))
+    kinds = ["constant", "torsion", "free", "induced"]
+    if p in (2, 3) and N <= 4:
+        kinds.append("hk")
+
+    def one():
+        kind = draw(st.sampled_from(kinds))
+        if kind == "constant":
+            return fi_core.constant_module(p, N)
+        if kind == "torsion":
+            return fi_core.torsion_point_module(p, draw(st.integers(0, N)), N)
+        if kind == "free":
+            return fi_core.free_module(p, draw(st.integers(0, min(N, 2))), N)
+        if kind == "induced":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            return fi_core.induced_module(random_monomial_fb(p, min(N, 3), rng),
+                                          N)
+        return congruence.hk_fi_module(draw(st.integers(1, 2)), p, N)
+
+    return fi_core.direct_sum(one(), one()) if draw(st.booleans()) else one()
+
+
+def plant(M, fault, rng):
+    """Flip the sign of one nonzero entry, swap two columns, or move one
+    entry of a structure map to another row; every matrix stays monomial.
+    Returns False when M has no matrix to plant the fault in."""
+    p = M.p
+    slots = [(n, i) for n in range(M.N + 1) for i in range(len(M.act[n]))]
+    slots += [(n, None) for n in range(1, M.N + 1)]
+
+    def get(slot):
+        n, i = slot
+        return M.phi[n] if i is None else M.act[n][i]
+
+    def fits(A, i):
+        if fault == "sign":
+            return A.any()
+        if fault == "swap":
+            return A.shape[1] >= 2
+        return i is None and A.shape[0] >= 2 and A.any()
+
+    slots = [s for s in slots if fits(get(s), s[1])]
+    if not slots:
+        return False
+    n, i = slots[rng.integers(len(slots))]
+    A = get((n, i)).copy()
+    if fault == "swap":
+        j, k = rng.choice(A.shape[1], size=2, replace=False)
+        A[:, [j, k]] = A[:, [k, j]]
+    else:
+        nz = np.argwhere(A)
+        r, c = nz[rng.integers(len(nz))]
+        v = A[r, c]
+        if fault == "sign":
+            A[r, c] = (p - v) % p
+        else:
+            A[r, c] = 0
+            A[(r + 1 + rng.integers(A.shape[0] - 1)) % A.shape[0], c] = v
+    if i is None:
+        M.phi[n] = A
+    else:
+        M.act[n][i] = A
+    M.cache.clear()
+    return True
+
+
+@st.composite
+def labelled_windows(draw):
+    """monomial_windows, half of them with a planted fault."""
+    M = draw(monomial_windows())
+    fault = draw(st.sampled_from([None, "sign", "swap", "move"]))
+    if fault:
+        plant(M, fault, np.random.default_rng(draw(st.integers(0, 10**6))))
+    assert fi_core.read_labels(M) is not None
+    return M
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_windows(), st.sampled_from(["sign", "swap", "move"]),
+       st.integers(0, 10**6))
+def test_label_validate_matches_dense(M, fault, seed):
+    assert fi_core.validate(M) == fi_core._validate_dense(M) == []
+    if plant(M, fault, np.random.default_rng(seed)):
+        assert fi_core.read_labels(M) is not None
+        assert fi_core.validate(M) == fi_core._validate_dense(M)
+
+
+def test_label_validate_catches_planted_faults():
+    # each fault breaks an identity; both validators name the same ones
+    M = fi_core.free_module(3, 1, 4)
+    A = M.act[3][0].copy()
+    A[:, [0, 1]] = A[:, [1, 0]]
+    M.act[3][0] = A
+    M.phi[2] = M.phi[2][[1, 0]]
+    P = M.phi[4].copy()
+    P[:, 2] = np.roll(P[:, 2], 1)
+    M.phi[4] = P
+    assert fi_core.read_labels(M) is not None
+    bad = fi_core.validate(M)
+    assert bad == fi_core._validate_dense(M) == [
+        "level 3: braid relation fails at s_0, s_1",
+        "level 3: structure map not equivariant at s_0",
+        "level 3: two-step symmetry fails",
+        "level 4: structure map not equivariant at s_0",
+        "level 4: structure map not equivariant at s_1"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_windows())
+def test_orbit_closure_matches_span_closure(M):
+    for n in range(1, M.N + 1):
+        assert fi_homology._generated_rank(M, n) \
+            == fi_homology._span_rank(M, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_windows())
+def test_label_torsion_matches_oracle(M):
+    assert fi_core.observed_torsion(M) == oracle_torsion(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_windows())
+def test_label_derivative_matches_dense_quotient(M):
+    D_dense = M
+    for a in range(1, min(M.N, 2) + 1):
+        D_dense = fi_core._derivative_dense(D_dense)
+        D = fi_core.derivative(M, a)
+        assert as_lists(D.dims, D.act, D.phi) \
+            == as_lists(D_dense.dims, D_dense.act, D_dense.phi)
+    # the label maps a shift keeps are those of its matrices
+    S = fi_core._shift_once(M)
+    kept, fresh = S.cache["labels"], fi_core.read_labels(S)
+    assert all(fi_core._LabelAlgebra.same(X, Y)
+               for X, Y in zip(sum(kept[0], []) + kept[1][1:],
+                               sum(fresh[0], []) + fresh[1][1:]))
+
+
+def test_dense_windows_read_no_labels():
+    # this cokernel has a column with two nonzero entries; a wrong shape
+    # is reported by the dense route
+    M = fi_core.random_presented(3, 4, 1, 2, 7)
+    assert fi_core.read_labels(M) is None
+    M = fi_core.free_module(3, 1, 4)
+    M.phi[4] = np.eye(2, dtype=np.int64)
+    assert fi_core.read_labels(M) is None
+    assert fi_core.validate(M) == ["level 4: structure map has wrong shape"]
+
+
+def test_validate_ignores_the_cached_labels():
+    # invariants fills the cache; an edit made after it is still seen
+    M = fi_core.free_module(3, 1, 5)
+    fi_homology.invariants(M)
+    stale = M.cache["labels"]
+    assert stale is not None
+    A = M.act[4][2].copy()
+    A[:, [0, 1]] = A[:, [1, 0]]
+    M.act[4][2] = A
+    bad = fi_core.validate(M)
+    assert bad and bad == fi_core._validate_dense(M)
+    assert M.cache["labels"] is stale
+
+
+def test_derivative_rejects_steps_beyond_window():
+    M = fi_core.constant_module(2, 2)
+    with pytest.raises(fi_core.WindowError):
+        fi_core.derivative(M, 3)
+    with pytest.raises(fi_core.WindowError):
+        fi_core.derivative(M, -1)
