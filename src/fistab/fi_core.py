@@ -18,9 +18,9 @@ constructor's output, and their direct sums, shifts and derivatives) is
 also read, by the one reader `read_labels`, into label maps: per matrix
 the target row of each column and its value.  `validate` (reading them
 afresh) and `observed_torsion` compose label maps, O(dim) per product,
-`shift` composes them too, and `derivative` keeps the rows outside the
-image of the structure map, all without a dense product or elimination;
-`label_maps` keeps them in the window's cache.  Other windows take the
+and `derivative` keeps the rows outside the image of the structure map,
+all without a dense elimination; `label_maps` keeps them in the window's
+cache.  `shift` stays one dense product per level.  Other windows take the
 dense route, which the reader selects by failing on their first matrix
 with a fuller column.
 
@@ -296,15 +296,6 @@ def label_maps(M: FIModuleWindow):
     if "labels" not in M.cache:
         M.cache["labels"] = read_labels(M)
     return M.cache["labels"]
-
-
-def _dense(L, nrows: int) -> np.ndarray:
-    """The nrows-row matrix of a label map."""
-    rows, vals = L
-    A = np.zeros((nrows, len(rows) - 1), dtype=np.int64)
-    cols = np.flatnonzero(rows[:-1] >= 0)
-    A[rows[cols], cols] = vals[cols]
-    return A
 
 
 class _DenseAlgebra:
@@ -669,27 +660,6 @@ def shift(M: FIModuleWindow, a: int = 1) -> FIModuleWindow:
 
 
 def _shift_once(M: FIModuleWindow) -> FIModuleWindow:
-    """Shift by one; a monomial window is shifted on its label maps, and
-    the result keeps its own in its cache."""
-    labels = label_maps(M)
-    if labels is None:
-        return _shift_dense(M)
-    act, phi = labels
-    alg = _LabelAlgebra(M.p)
-    N = M.N - 1
-    dims = [M.dims[n + 1] for n in range(N + 1)]
-    phi_s = [None] + [alg.mul(act[n + 1][n - 1], phi[n + 1])
-                      for n in range(1, N + 1)]
-    S = FIModuleWindow(M.p, N, dims,
-                       [M.act[n + 1][:max(0, n - 1)] for n in range(N + 1)],
-                       [None] + [_dense(phi_s[n], dims[n])
-                                 for n in range(1, N + 1)])
-    S.cache["labels"] = ([act[n + 1][:max(0, n - 1)] for n in range(N + 1)],
-                         phi_s)
-    return S
-
-
-def _shift_dense(M: FIModuleWindow) -> FIModuleWindow:
     p = M.p
     N = M.N - 1
     dims = [M.dims[n + 1] for n in range(N + 1)]
@@ -720,11 +690,10 @@ def _derivative_once(M: FIModuleWindow) -> FIModuleWindow:
     labels, the rows `free`: `quotient_by_images` reads
     proj @ X[:, free] = X[free][:, free] there, without an elimination.
     """
-    S = _shift_once(M)
     labels = label_maps(M)
     if labels is None:
-        # canonical map at level n is the structure map of M into level n+1
-        return quotient_by_images(S, [M.phi[n + 1] for n in range(S.N + 1)])
+        return _derivative_dense(M)
+    S = _shift_once(M)
     frees = []
     for n in range(S.N + 1):
         hit = np.zeros(S.dims[n] + 1, dtype=bool)
@@ -743,7 +712,8 @@ def _derivative_once(M: FIModuleWindow) -> FIModuleWindow:
 
 def _derivative_dense(M: FIModuleWindow) -> FIModuleWindow:
     """One derivative through dense products and eliminations."""
-    S = _shift_dense(M)
+    S = _shift_once(M)
+    # canonical map at level n is the structure map of M into level n+1
     return quotient_by_images(S, [M.phi[n + 1] for n in range(S.N + 1)])
 
 

@@ -599,12 +599,6 @@ def test_label_derivative_matches_dense_quotient(M):
         D = fi_core.derivative(M, a)
         assert as_lists(D.dims, D.act, D.phi) \
             == as_lists(D_dense.dims, D_dense.act, D_dense.phi)
-    # the label maps a shift keeps are those of its matrices
-    S = fi_core._shift_once(M)
-    kept, fresh = S.cache["labels"], fi_core.read_labels(S)
-    assert all(fi_core._LabelAlgebra.same(X, Y)
-               for X, Y in zip(sum(kept[0], []) + kept[1][1:],
-                               sum(fresh[0], []) + fresh[1][1:]))
 
 
 def test_dense_windows_read_no_labels():
