@@ -191,15 +191,14 @@ def _cmd_bounds(args) -> int:
 def _cmd_spb_build(args) -> int:
     t0 = time.perf_counter()
     X = splitbases.spb_complex(args.m, args.q, args.n, args.variant)
-    doc = X.encode()
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(doc, fh)
+            json.dump(X.encode(), fh)
         print(f"wrote {args.out}: f-vector {X.f_vector()}")
         return 0
     rep = _report(args, {"name": X.name, "f_vector": X.f_vector(),
                          "vertices": len(X.vertices),
-                         "maximal": len(X.maximal)}, t0)
+                         "maximal": sum(map(len, X.maximal_rows))}, t0)
     return _emit(args, rep, 0)
 
 

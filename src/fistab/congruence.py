@@ -328,11 +328,9 @@ class EquivariantInput:
             errors.append("multiplication table not square")
         if self.vertex_action.shape[0] != order:
             errors.append("one vertex map per group element required")
-        maximal = self.complex.maximal
+        X = self.complex
         for g in range(order):
-            img = {frozenset(int(self.vertex_action[g, v]) for v in mx)
-                   for mx in maximal}
-            if img != maximal:
+            if not X.maps_onto(self.vertex_action[g], X):
                 errors.append(f"element {g} does not preserve the complex")
                 break
         # every pair (a, b), one first element at a time

@@ -364,41 +364,56 @@ def _validate_dense(M: FIModuleWindow) -> list[str]:
 
 def _identities(M: FIModuleWindow, alg, act, phi) -> list[str]:
     """The checks of `validate`: shapes on M's matrices, identities on
-    act and phi, which hold M's matrices in the form alg multiplies."""
+    act and phi, which hold M's matrices in the form alg multiplies.  An
+    identity that would multiply a matrix of the wrong shape is skipped:
+    the shape message already reports it."""
     bad: list[str] = []
     mul, same = alg.mul, alg.same
     if len(M.dims) != M.N + 1:
         return [f"dims has length {len(M.dims)}, expected N+1={M.N+1}"]
+
+    def square(n: int, *ii: int) -> bool:
+        return all(i < len(M.act[n])
+                   and M.act[n][i].shape == (M.dims[n], M.dims[n]) for i in ii)
+
+    def mapping(n: int) -> bool:
+        P = M.phi[n]
+        return P is not None and P.shape == (M.dims[n], M.dims[n - 1])
+
     for n in range(M.N + 1):
         d = M.dims[n]
         if len(M.act[n]) != max(0, n - 1):
             bad.append(f"level {n}: expected {max(0, n-1)} transposition matrices")
             continue
         for i, A in enumerate(M.act[n]):
-            if A.shape != (d, d):
+            if not square(n, i):
                 bad.append(f"level {n}: s_{i} matrix has shape {A.shape}, want {(d, d)}")
                 continue
             if not same(mul(act[n][i], act[n][i]), alg.one(d)):
                 bad.append(f"level {n}: involution fails for s_{i}")
         for i in range(n - 2):
+            if not square(n, i, i + 1):
+                continue
             A, B = act[n][i], act[n][i + 1]
             AB = mul(A, B)
             if not same(mul(AB, A), mul(B, AB)):
                 bad.append(f"level {n}: braid relation fails at s_{i}, s_{i+1}")
         for i in range(n - 1):
             for j in range(i + 2, n - 1):
+                if not square(n, i, j):
+                    continue
                 A, B = act[n][i], act[n][j]
                 if not same(mul(A, B), mul(B, A)):
                     bad.append(f"level {n}: s_{i} and s_{j} do not commute")
         if n >= 1:
-            P = M.phi[n]
-            if P is None or P.shape != (d, M.dims[n - 1]):
+            if not mapping(n):
                 bad.append(f"level {n}: structure map has wrong shape")
                 continue
             for i in range(n - 2):
-                if not same(mul(phi[n], act[n - 1][i]), mul(act[n][i], phi[n])):
+                if square(n - 1, i) and square(n, i) and not same(
+                        mul(phi[n], act[n - 1][i]), mul(act[n][i], phi[n])):
                     bad.append(f"level {n}: structure map not equivariant at s_{i}")
-        if n >= 2:
+        if n >= 2 and square(n, n - 2) and mapping(n - 1):
             PP = mul(phi[n], phi[n - 1])
             if not same(mul(act[n][n - 2], PP), PP):
                 bad.append(f"level {n}: two-step symmetry fails")

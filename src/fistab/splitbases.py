@@ -11,11 +11,13 @@ the orbit of the standard split basis under a congruence kernel, which
 at the unit ideal is all of GL_n(Z/m); it labels the orbit with one int
 code per vertex and numbers the vertices by first appearance.
 
-A complex keeps its maximal simplices as frozensets and hands out its
-faces as memoised int arrays, rows in lexicographic order.  Every chain
-complex gets its boundary from those face arrays: `boundary_columns`
-finds each facet of a face by `face_index`, a binary search on
-prefix-index codes.
+A complex stores its maximal simplices once, as sorted int64 rows, one
+array per simplex size, rows distinct and in lexicographic order, and
+hands out its faces as memoised int arrays of the same form.  The orbit
+builder sorts and dedupes its id rows with one sort of row codes, and
+vertex maps are checked on those rows.  Every chain complex gets its
+boundary from the face arrays: `boundary_columns` finds each facet of a
+face by `face_index`, a binary search on prefix-index codes.
 
 Everything is enumerated exactly and guarded: group orders are capped at
 2^26, face counts at 2^24, and the dense integral boundary matrices at
@@ -25,7 +27,7 @@ Everything is enumerated exactly and guarded: group orders are capped at
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,12 +253,40 @@ class TrivialGroupTower:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SimplicialComplex:
-    vertices: list          # hashable labels
-    maximal: set            # frozensets of vertex indices
-    name: str = ""
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
+    """A finite simplicial complex on the vertex labels `vertices`.
+
+    Its maximal simplices are stored once, as `maximal_rows`: one int64
+    array per simplex size, sizes ascending, each row a simplex's sorted
+    vertex indices, rows distinct and in lexicographic order.  The
+    constructor takes them as collections of vertex indices, and
+    `maximal` gives them back as a set of frozensets, built on request.
+    """
+
+    def __init__(self, vertices: list, maximal, name: str = ""):
+        by_size: dict[int, list] = {}
+        for mx in maximal:
+            row = sorted(set(mx))
+            by_size.setdefault(len(row), []).append(row)
+        self.vertices = vertices        # hashable labels
+        self.maximal_rows = [
+            _lex_distinct(np.array(rows, dtype=np.int64).reshape(len(rows), size))
+            for size, rows in sorted(by_size.items())]
+        self.name = name
+        self.cache: dict = {}
+
+    @property
+    def maximal(self) -> set[frozenset]:
+        return {frozenset(row) for rows in self.maximal_rows
+                for row in rows.tolist()}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimplicialComplex):
+            return NotImplemented
+        return (self.vertices == other.vertices and self.name == other.name
+                and len(self.maximal_rows) == len(other.maximal_rows)
+                and all(map(np.array_equal, self.maximal_rows,
+                            other.maximal_rows)))
 
     def faces(self, k: int) -> np.ndarray:
         """All k-dimensional faces, as a read-only (F, k + 1) int64 array
@@ -276,7 +306,7 @@ class SimplicialComplex:
         # each k-face is keyed by the code index(f[:-1]) * nv + f[-1],
         # below 2^48 under the caps; codes sort as the faces do
         codes = np.zeros(0, dtype=np.int64)
-        for mx in self._maximal_arrays():
+        for mx in self.maximal_rows:
             for pos in itertools.combinations(range(mx.shape[1]), k + 1):
                 rows = mx[:, pos]
                 new = rows[:, -1] if k == 0 else \
@@ -292,18 +322,6 @@ class SimplicialComplex:
         out.flags.writeable = False
         return out
 
-    def _maximal_arrays(self) -> list[np.ndarray]:
-        """The maximal simplices as sorted rows, one array per size."""
-        if "maximal" not in self.cache:
-            by_size: dict[int, list] = {}
-            for mx in self.maximal:
-                by_size.setdefault(len(mx), []).append(mx)
-            self.cache["maximal"] = [np.sort(np.fromiter(
-                itertools.chain.from_iterable(group), dtype=np.int64,
-                count=size * len(group)).reshape(len(group), size), axis=1)
-                for size, group in sorted(by_size.items())]
-        return self.cache["maximal"]
-
     def f_vector(self, upto: int | None = None) -> list[int]:
         top = self.dimension()
         if upto is not None:
@@ -311,14 +329,33 @@ class SimplicialComplex:
         return [len(self.faces(k)) for k in range(top + 1)]
 
     def dimension(self) -> int:
-        return max((len(mx) for mx in self.maximal), default=0) - 1
+        return self.maximal_rows[-1].shape[1] - 1 if self.maximal_rows else -1
+
+    def maps_onto(self, vmap: np.ndarray, other: "SimplicialComplex") -> bool:
+        """Does the vertex map `vmap` carry the maximal simplices of this
+        complex one to one onto those of `other`, each onto one of its own
+        size?  With other = self this is the equality of the set of images
+        with the set of simplices: a map that shrank one simplex there
+        would have to enlarge another."""
+        if [a.shape for a in self.maximal_rows] \
+                != [b.shape for b in other.maximal_rows]:
+            return False
+        for a, b in zip(self.maximal_rows, other.maximal_rows):
+            img = np.sort(vmap[a], axis=1)
+            at = np.minimum(face_index(b, img), len(b) - 1)
+            hit = np.zeros(len(b), dtype=bool)
+            hit[at] = True
+            if not ((b[at] == img).all() and hit.all()):
+                return False
+        return True
 
     def encode(self) -> dict:
         return {
             "kind": "simplicial",
             "vertices": [list(v) if isinstance(v, tuple) else v
                          for v in self.vertices],
-            "maximal": sorted(sorted(mx) for mx in self.maximal),
+            "maximal": sorted(itertools.chain.from_iterable(
+                rows.tolist() for rows in self.maximal_rows)),
         }
 
     @staticmethod
@@ -332,7 +369,6 @@ class SimplicialComplex:
                 or not isinstance(doc["maximal"], list):
             raise ValueError("vertices and maximal must be lists")
         verts = [detuple(v) for v in doc["vertices"]]
-        maximal = set()
         for mx in doc["maximal"]:
             if not isinstance(mx, list) or not mx:
                 raise ValueError(
@@ -341,8 +377,21 @@ class SimplicialComplex:
                 if type(v) is not int or not 0 <= v < len(verts):
                     raise ValueError(f"vertex index {v!r} is not an int in "
                                      f"range({len(verts)})")
-            maximal.add(frozenset(mx))
-        return SimplicialComplex(verts, maximal)
+        return SimplicialComplex(verts, doc["maximal"])
+
+
+def _lex_distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of `rows`, each row sorted already, in
+    lexicographic order.  A row is coded in base nv, its largest entry
+    plus one, so that one sort of the codes orders and dedupes the rows;
+    np.unique(axis=0) takes over where nv^width leaves int64."""
+    nv = int(rows.max(initial=0)) + 1
+    width = rows.shape[1]
+    if nv ** width >= 1 << 63:
+        return np.unique(rows, axis=0)
+    pw = nv ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    codes = _distinct(rows @ pw)
+    return codes[:, None] // pw % nv
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -383,7 +432,9 @@ def _labelled_complex(codes: np.ndarray, label, name: str
 
     `codes` is overwritten in place by the vertex ids, ids[s, i] the
     vertex of codes[s, i], and returned as ids: the orbits are the
-    largest arrays here, and one copy fewer keeps their peak down.
+    largest arrays here, and one copy fewer keeps their peak down.  The
+    stored rows are the ids rows sorted, once each: the full-ring orbit
+    lists every basis once per ordering of it.
     """
     _, first, inverse = np.unique(codes.ravel(), return_index=True,
                                   return_inverse=True)
@@ -394,13 +445,9 @@ def _labelled_complex(codes: np.ndarray, label, name: str
     ids = codes
     np.take(renumber, inverse.ravel(), out=ids.reshape(-1))
     del inverse
-    # one int object per vertex, shared by every simplex, and a few rows
-    # at a time, for the same reason
-    pool = np.array(range(len(vertices)), dtype=object)
-    maximal: set[frozenset] = set()
-    for lo in range(0, len(ids), 1 << 12):
-        maximal.update(map(frozenset, pool[ids[lo:lo + (1 << 12)]].tolist()))
-    return SimplicialComplex(vertices, maximal, name=name), ids
+    X = SimplicialComplex(vertices, (), name)
+    X.maximal_rows = [_lex_distinct(np.sort(ids, axis=1))]
+    return X, ids
 
 
 def spb_orbit(G: CongruenceGroup) -> tuple[SimplicialComplex, np.ndarray]:
@@ -583,13 +630,12 @@ def coset_spb_isomorphism(m: int, q: int, n: int) -> dict:
     Y = coset_complex(G, n)
     X, vid = spb_orbit(G)
     # representative gamma = the stored minimal coset element
-    vmap = [int(vid[rep, t]) for t, rep in Y.vertices]
-    injective = len(set(vmap)) == len(vmap)
-    surjective = len(set(vmap)) == len(X.vertices)
-    y_simp = {frozenset(vmap[v] for v in mx) for mx in Y.maximal}
+    t, rep = np.array(Y.vertices, dtype=np.int64).reshape(-1, 2).T
+    vmap = vid[rep, t]
+    images = len(np.unique(vmap))
     return {
-        "vertex_bijection": injective and surjective,
-        "maximal_simplices_match": y_simp == X.maximal,
+        "vertex_bijection": images == len(vmap) == len(X.vertices),
+        "maximal_simplices_match": Y.maps_onto(vmap, X),
         "saturated": is_saturated(G, n),
         "coset_f_vector": Y.f_vector(),
         "spb_f_vector": X.f_vector(),
@@ -761,7 +807,7 @@ def verify_spb_in_su(m: int, q: int, n: int, d: int | None = None) -> dict:
     ok = True
     detail = {}
     for l in range(min(lmax, SU.dimension()) + 1):
-        su_faces = np.unique(np.sort(su_id[SU.faces(l)], axis=1), axis=0)
+        su_faces = _lex_distinct(np.sort(su_id[SU.faces(l)], axis=1))
         spb_faces = SPB.faces(l)
         contained = _rows_occur(spb_faces, su_faces)
         detail[l] = {"su": len(su_faces), "spb": len(spb_faces),

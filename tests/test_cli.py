@@ -285,6 +285,24 @@ def test_json_reports_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
+def test_spb_build_counts(capsys, tmp_path):
+    # SPB_3(Z/4,(2)): the 512 kernel elements give 512 distinct bases
+    code, out, _ = run(capsys, "spb", "build", "--m", "4", "--q", "2",
+                       "--n", "3", "--json")
+    assert code == 0
+    assert json.loads(out)["outputs"] == {
+        "name": "SPB_3(Z/4,2)", "f_vector": [96, 768, 512],
+        "vertices": 96, "maximal": 512}
+    # the full-ring orbit lists each basis once per ordering of it
+    f = tmp_path / "x.json"
+    code, _, _ = run(capsys, "spb", "build", "--m", "3", "--q", "1",
+                     "--n", "2", "--variant", "spb", "--out", str(f))
+    assert code == 0
+    doc = json.loads(f.read_text())
+    assert len(doc["vertices"]) == 24 and len(doc["maximal"]) == 24
+    assert doc["maximal"] == sorted(doc["maximal"])
+
+
 def test_charney_and_ygamma_cli(capsys):
     code, out, _ = run(capsys, "verify", "charney", "--m", "4", "--q", "2",
                        "--n", "3")

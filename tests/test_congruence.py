@@ -322,6 +322,29 @@ def test_equivariant_rejects_broken_action():
         cg.equivariant_homology(cg.EquivariantInput(tab, X, act, 2), 1)
 
 
+def test_validate_rejects_planted_non_preserving_action():
+    # SPB_2(Z/4,(2)) under its kernel, as theoremC_check builds it; the
+    # frozenset route confirms that each planted map moves the complex
+    G = sb.congruence_group(4, 2, 2)
+    X, vid = sb.spb_orbit(G)
+    table = G.multiplication_table()
+    vmaps = np.zeros((G.order, len(X.vertices)), dtype=np.int64)
+    vmaps[:, vid] = vid[table]
+    assert cg.EquivariantInput(table, X, vmaps, 2).validate() == []
+    a, b = X.maximal_rows[0][0]
+    c = X.maximal_rows[0][-1][1]
+    for plant in ([a, b], [a, c], [b, c]):
+        bad = vmaps.copy()
+        bad[5, plant] = bad[5, plant[::-1]]         # swap two images
+        collapsed = vmaps.copy()
+        collapsed[5, plant[0]] = collapsed[5, plant[1]]
+        for act in (bad, collapsed):
+            img = {frozenset(int(act[5, v]) for v in mx) for mx in X.maximal}
+            assert img != X.maximal
+            assert "element 5 does not preserve the complex" \
+                in cg.EquivariantInput(table, X, act, 2).validate()
+
+
 def test_validate_checks_every_pair():
     # Z/9 rotating a 9-cycle; a table wrong at any single one of the 81
     # pairs must be caught

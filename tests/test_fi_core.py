@@ -612,6 +612,22 @@ def test_dense_windows_read_no_labels():
     assert fi_core.validate(M) == ["level 4: structure map has wrong shape"]
 
 
+@pytest.mark.parametrize("which,message", [
+    ("s_1", "level 3: s_1 matrix has shape (2, 2), want (3, 3)"),
+    ("phi", "level 3: structure map has wrong shape"),
+])
+def test_wrong_shape_is_reported_not_multiplied(which, message):
+    # the braid check of level 3 and the two-step check of level 4 would
+    # multiply the wrong-shaped matrix; both routes report the shape alone
+    M = fi_core.free_module(3, 1, 4)
+    if which == "s_1":
+        M.act[3][1] = np.eye(2, dtype=np.int64)
+    else:
+        M.phi[3] = np.eye(2, dtype=np.int64)
+    assert fi_core.validate(M) == [message]
+    assert fi_core._validate_dense(M) == [message]
+
+
 def test_validate_ignores_the_cached_labels():
     # invariants fills the cache; an edit made after it is still seen
     M = fi_core.free_module(3, 1, 5)

@@ -251,6 +251,26 @@ def test_spb_orbit_vertex_action(m, q, n):
         assert (vid[table[g]] == moved[vid]).all()
 
 
+def oracle_rows(maximal):
+    """The maximal simplices, given as a set of frozensets, in the stored
+    form: sorted rows grouped by size, sizes ascending, rows in order."""
+    by_size = {}
+    for mx in maximal:
+        by_size.setdefault(len(mx), []).append(sorted(mx))
+    return [sorted(rows) for _, rows in sorted(by_size.items())]
+
+
+def assert_rows_match(X, maximal):
+    assert all(a.dtype == np.int64 and a.ndim == 2 for a in X.maximal_rows)
+    assert [a.tolist() for a in X.maximal_rows] == oracle_rows(maximal)
+    assert X.maximal == maximal
+    assert X.dimension() == max(map(len, maximal), default=0) - 1
+    assert X.encode()["maximal"] == sorted(sorted(mx) for mx in maximal)
+    Y = sb.SimplicialComplex.decode(json.loads(json.dumps(X.encode())))
+    Y.name = X.name
+    assert Y == X
+
+
 def first_appearance_orbit(G):
     """Orbit labels one element at a time, numbered by a dict in order of
     first appearance."""
@@ -268,16 +288,83 @@ def first_appearance_orbit(G):
 @pytest.mark.parametrize("m,q,n", [(4, 2, 2), (4, 2, 3), (9, 3, 2), (3, 1, 2),
                                    (2 ** 30, 2 ** 29, 2)])
 def test_spb_orbit_matches_first_appearance_oracle(m, q, n):
-    # (3, 1, 2) is the full-ring `spb` complex; the last modulus has
-    # m^(2n) = 2^120, far past int64
+    # (3, 1, 2) is the full-ring `spb` complex, whose orbit lists each
+    # basis twice; the last modulus has m^(2n) = 2^120, far past int64
     G = sb.congruence_group(m, q, n)
     X, vid = sb.spb_orbit(G)
     vertices, want_vid, maximal = first_appearance_orbit(G)
     assert X.vertices == vertices
     assert (vid == want_vid).all()
-    assert X.maximal == maximal
+    assert_rows_match(X, maximal)
     if q == 1:
         assert sb.spb_complex(m, q, n, "spb").maximal == maximal
+
+
+# the stored rows vs the frozenset route, kept as the oracle -----------------------
+
+
+def coset_oracle(G, n):
+    """The coset complex one element at a time: vertex (t, smallest index
+    in gamma H_t), numbered by a dict in order of first appearance."""
+    m = G.ring.m
+    corners = [G.corner_indices(tuple(x for x in range(n) if x != t))
+               for t in range(n)]
+    index, maximal = {}, set()
+    for h in range(G.order):
+        simplex = []
+        for t in range(n):
+            key = int(G.indices_of(G.mats[h] @ G.mats[corners[t]] % m).min())
+            simplex.append(index.setdefault((t, key), len(index)))
+        maximal.add(frozenset(simplex))
+    return list(index), maximal
+
+
+@pytest.mark.parametrize("m,q,n", [(4, 2, 2), (9, 3, 2), (3, 1, 2)])
+def test_clique_rows_match_frozenset_route(m, q, n):
+    X = sb.spb_complex(m, q, n, "su_modI")
+    verts = range(len(X.vertices))
+    maximal = reference_cliques(verts, lambda a, b: sb._compatible(
+        X.vertices[a], X.vertices[b], m))
+    assert_rows_match(X, maximal)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coset_rows_match_frozenset_route(n):
+    G = sb.congruence_group(4, 2, n)
+    Y = sb.coset_complex(G, n)
+    vertices, maximal = coset_oracle(G, n)
+    assert Y.vertices == vertices
+    assert_rows_match(Y, maximal)
+    T = sb.coset_complex(sb.TrivialGroupTower(n), n)
+    assert_rows_match(T, {frozenset(range(n))})
+
+
+def test_decoded_repeats_and_empty_complex_rows():
+    doc = {"kind": "simplicial", "vertices": ["a", "b", "c", "d"],
+           "maximal": [[1, 0], [2], [0, 1], [3, 2, 0], [1, 1, 0]]}
+    X = sb.SimplicialComplex.decode(doc)
+    maximal = {frozenset([0, 1]), frozenset([2]), frozenset([0, 2, 3])}
+    assert_rows_match(X, maximal)
+    assert X.f_vector() == [4, 4, 1]
+    E = sb.SimplicialComplex([], set())
+    assert_rows_match(E, set())
+    assert E.maximal_rows == [] and E.dimension() == -1 and E.f_vector() == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_maps_onto_is_set_equality_of_images(data):
+    # a vertex map preserves a complex exactly when it carries the set of
+    # maximal simplices onto itself, as the frozenset route reads it
+    X = data.draw(complexes())
+    nv = len(X.vertices)
+    vmap = np.array(data.draw(st.one_of(
+        st.permutations(range(nv)),
+        st.lists(st.integers(0, max(nv - 1, 0)), min_size=nv,
+                 max_size=nv))), dtype=np.int64)
+    img = {frozenset(int(vmap[v]) for v in mx) for mx in X.maximal}
+    assert X.maps_onto(vmap, X) == (img == X.maximal)
+    assert X.maps_onto(np.arange(nv), X)
 
 
 # coset complexes ----------------------------------------------------------------
