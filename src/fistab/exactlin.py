@@ -26,9 +26,12 @@ prefix ranks keep the column order.
 
 from __future__ import annotations
 
+import collections
 import functools
+import heapq
 import itertools
 import math
+import operator
 import sys
 
 import numpy as np
@@ -569,27 +572,55 @@ def rank_gf2_dense(A) -> int:
 def smith_normal_form(A) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Exact over Python ints.  Pivot selection prefers smallest absolute
-    value and breaks ties by a Markowitz-style fill estimate.  Zero
-    invariant factors are not reported: the tuple has length rank(A).
+    Exact over Python ints.  A must have an integer, bool or object dtype
+    and integer entries; anything else, such as a float array, raises
+    ValueError.  Zero invariant factors are not reported: the tuple has
+    length rank(A).
+
+    Each pivot is the entry of smallest absolute value, ties broken by the
+    Markowitz fill (row length - 1) * (column length - 1).  The candidates
+    sit in a heap on that key: every write pushes its entry with the key
+    it has then, and a pop skips entries that are gone or hold another
+    value (a later write pushed those again) and pushes back, with its
+    current key, an entry whose fill has changed.  So no pivot search
+    reads the whole matrix.  Pivot order changes only the work and the
+    size of intermediate entries, never the invariant factors: the
+    product of the first k factors is the gcd of the k x k minors, which
+    unimodular row and column operations keep.  The unit factors are
+    split off before the divisibility chain is enforced, which then
+    runs over the factors > 1 only.
     """
     A = np.asarray(A)
+    if A.dtype.kind not in "iub" and A.dtype != object:
+        raise ValueError("Smith normal form needs an integer matrix, "
+                         f"not dtype {A.dtype}")
     ri, ci = np.nonzero(A)
-    mat: dict[tuple[int, int], int] = {
-        (i, j): int(v) for i, j, v in
-        zip(ri.tolist(), ci.tolist(), A[ri, ci].tolist())}
-    rows: dict[int, set[int]] = {}
-    cols: dict[int, set[int]] = {}
+    try:
+        vals = [operator.index(v) for v in A[ri, ci].tolist()]
+    except TypeError as exc:
+        raise ValueError(f"Smith normal form needs integer entries: {exc}") \
+            from None
+    mat: dict[tuple[int, int], int] = dict(zip(zip(ri.tolist(), ci.tolist()),
+                                               vals))
+    rows: dict[int, set[int]] = collections.defaultdict(set)
+    cols: dict[int, set[int]] = collections.defaultdict(set)
     for (i, j) in mat:
-        rows.setdefault(i, set()).add(j)
-        cols.setdefault(j, set()).add(i)
+        rows[i].add(j)
+        cols[j].add(i)
+
+    def fill(i: int, j: int) -> int:
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(abs(v), fill(i, j), i, j) for (i, j), v in mat.items()]
+    heapq.heapify(heap)
 
     def set_entry(i: int, j: int, v: int) -> None:
         if v:
             if (i, j) not in mat:
-                rows.setdefault(i, set()).add(j)
-                cols.setdefault(j, set()).add(i)
+                rows[i].add(j)
+                cols[j].add(i)
             mat[(i, j)] = v
+            heapq.heappush(heap, (abs(v), fill(i, j), i, j))
         elif (i, j) in mat:
             del mat[(i, j)]
             rows[i].discard(j)
@@ -598,31 +629,31 @@ def smith_normal_form(A) -> tuple[int, ...]:
     def add_row(dst: int, src: int, f: int) -> None:
         if f == 0:
             return
-        for j in list(rows.get(src, ())):
+        for j in list(rows[src]):
             set_entry(dst, j, mat.get((dst, j), 0) + f * mat[(src, j)])
 
     def add_col(dst: int, src: int, f: int) -> None:
         if f == 0:
             return
-        for i in list(cols.get(src, ())):
+        for i in list(cols[src]):
             set_entry(i, dst, mat.get((i, dst), 0) + f * mat[(i, src)])
 
     diags: list[int] = []
     while mat:
-        best = None
-        best_key = None
-        for (i, j), v in mat.items():
-            fill = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-            key = (abs(v), fill)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (i, j)
-        pi, pj = best
+        while True:
+            a, f, pi, pj = heapq.heappop(heap)
+            v = mat.get((pi, pj))
+            if v is None or abs(v) != a:
+                continue
+            now = fill(pi, pj)
+            if now == f:
+                break
+            heapq.heappush(heap, (a, now, pi, pj))
         # make the pivot divide its whole row and column, then clear
         while True:
             pv = mat[(pi, pj)]
             moved = False
-            for i in list(cols.get(pj, ())):
+            for i in list(cols[pj]):
                 if i == pi:
                     continue
                 q = mat[(i, pj)] // pv
@@ -635,7 +666,7 @@ def smith_normal_form(A) -> tuple[int, ...]:
             if moved:
                 continue
             pv = mat[(pi, pj)]
-            for j in list(rows.get(pi, ())):
+            for j in list(rows[pi]):
                 if j == pj:
                     continue
                 q = mat[(pi, j)] // pv
@@ -653,8 +684,10 @@ def smith_normal_form(A) -> tuple[int, ...]:
         diags.append(abs(pv))
         set_entry(pi, pj, 0)
 
-    # enforce the divisibility chain among diagonal entries
-    diags = [d for d in diags if d]
+    # enforce the divisibility chain among the factors > 1; a unit
+    # factor divides every other one already
+    units = diags.count(1)
+    diags = [d for d in diags if d > 1]
     changed = True
     while changed:
         changed = False
@@ -666,4 +699,4 @@ def smith_normal_form(A) -> tuple[int, ...]:
                     diags[a], diags[b] = g, lcm
                     changed = True
     diags.sort()
-    return tuple(diags)
+    return (1,) * units + tuple(diags)

@@ -27,6 +27,7 @@ Everything is enumerated exactly and guarded: group orders are capped at
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +143,14 @@ class CongruenceGroup:
         cands += np.eye(n, dtype=np.int64).ravel()
         cands %= m
         cands = cands.reshape(-1, n, n)
-        unit = np.gcd(_batch_det(cands), m) == 1
-        self.mats = cands if unit.all() else cands[unit]
+        # det(I + qA) = 1 mod q, so it is already a unit mod m when every
+        # prime factor of m divides q; the filter runs only when one does not
+        rest = m
+        while (g := math.gcd(rest, q)) > 1:
+            rest //= g
+        if rest > 1:
+            cands = cands[np.gcd(_batch_det(cands), m) == 1]
+        self.mats = cands
         self._finish()
 
     def _finish(self):

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from fistab import exactlin
+from snf_scan import snf_scan_oracle
 
 
 # independently coded oracles ------------------------------------------------
@@ -603,6 +604,53 @@ def test_snf_minor_gcd_characterization(A):
         assert prod == gcds[k]
     for a, b in zip(inv, inv[1:]):
         assert b % a == 0
+
+
+@st.composite
+def sparse_unit_matrices(draw, max_side=12):
+    """Matrices of mostly +-1 entries with a few non-units, at most half
+    of the cells filled and some rows and columns emptied.  Eliminating
+    a pivot here fills in new entries and changes the fill of entries
+    that are not written, so heap keys go stale."""
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(0, max_side))
+    A = np.zeros((m, n), dtype=np.int64)
+    values = st.sampled_from([1, -1] * 4 + [2, -2, 3, 4, -6])
+    if m and n:
+        cells = draw(st.permutations(range(m * n)))
+        for c in cells[:draw(st.integers(0, m * n // 2))]:
+            A[divmod(c, n)] = draw(values)
+        A[draw(st.lists(st.integers(0, m - 1), max_size=2)), :] = 0
+        A[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_unit_matrices())
+def test_snf_heap_matches_scan_and_sympy(A):
+    inv = exactlin.smith_normal_form(A)
+    assert inv == snf_scan_oracle(A)
+    assert inv == snf_oracle(A)
+
+
+def test_snf_rejects_non_integer_matrices():
+    with pytest.raises(ValueError):
+        exactlin.smith_normal_form(np.array([[0.5, 0], [0, 2.7]]))
+    with pytest.raises(ValueError):
+        exactlin.smith_normal_form(np.array([[2.0, 0], [0, 4]]))
+    with pytest.raises(ValueError):
+        exactlin.smith_normal_form(np.array([[0.5, 0], [0, 2]], dtype=object))
+    unimodular = np.array([[True, True], [False, True]])
+    assert exactlin.smith_normal_form(unimodular) == (1, 1)
+    small = np.array([[6, 0], [0, 4]], dtype=np.uint8)
+    assert exactlin.smith_normal_form(small) == (2, 12)
+
+
+def test_snf_object_entries_beyond_int64():
+    big = np.array([[2**40, 0], [0, 2**40]], dtype=object)
+    assert exactlin.smith_normal_form(big) == (2**40, 2**40)
+    huge = np.array([[2**70, 0], [0, 3 * 2**69]], dtype=object)
+    assert exactlin.smith_normal_form(huge) == (2**69, 3 * 2**70)
 
 
 def test_snf_frozen_examples():

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from fistab import exactlin, splitbases as sb
+from snf_scan import snf_scan_oracle
 
 
 # group enumeration vs a breadth-first closure oracle ---------------------------
@@ -68,6 +69,38 @@ def test_group_membership_and_inverses(m, q, n):
 def test_group_guard():
     with pytest.raises(sb.FeasibilityError):
         sb.congruence_group(4, 2, 6)
+
+
+def leibniz_det(M):
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b]
+                         for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]]
+                                                for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("m,q,n,filtered", [
+    (4, 2, 1, False), (4, 2, 2, False), (4, 2, 3, False), (8, 2, 2, False),
+    (9, 3, 2, False), (6, 2, 2, True), (12, 2, 2, True),
+])
+def test_group_elements_match_det_filter(m, q, n, filtered):
+    # every candidate I + qA whose determinant is a unit mod m, in code
+    # order (entry 0 least significant); where 3 divides m but not q some
+    # candidate has 3 | det and must be dropped
+    eye = np.eye(n, dtype=np.int64).ravel()
+    want = []
+    for digits in itertools.product(range(m // q), repeat=n * n):
+        g = ((eye + q * np.array(digits)) % m).tolist()
+        det = leibniz_det([g[i * n:(i + 1) * n] for i in range(n)])
+        if math.gcd(det, m) == 1:
+            want.append(g)
+    assert (len(want) < (m // q) ** (n * n)) == filtered
+    want.sort(key=lambda g: g[::-1])
+    G = sb.congruence_group(m, q, n)
+    assert np.array_equal(G.mats, np.array(want).reshape(-1, n, n))
 
 
 def test_batch_det_matches_sympy():
@@ -516,6 +549,16 @@ def test_homology_projective_plane_torsion():
     assert sb.reduced_betti(X, 3, [0, 1, 2]) == {0: 0, 1: 0, 2: 0}
 
 
+def test_spb_integral_homology_pinned():
+    # the integral case of the spb_homology benchmark, and H~_0 of
+    # SPB_3(Z/9,(3)), whose d_1 (729 x 19683) is the largest Smith form
+    # the tests run
+    assert sb.integral_reduced_homology(sb.spb_complex(4, 2, 3), [0, 1, 2]) \
+        == {0: (0, ()), 1: (225, ()), 2: (64, ())}
+    assert sb.integral_reduced_homology(sb.spb_complex(9, 3, 3), [0]) \
+        == {0: (0, ())}
+
+
 def test_universal_coefficient_rank_relation():
     for X in (triangle_boundary(), rp2(), sb.spb_complex(4, 2, 2, "spb_modI")):
         hz = sb.integral_reduced_homology(X, [0, 1])
@@ -595,7 +638,7 @@ def oracle_integral(X, ks):
         for c, col in enumerate(oracle_boundary(fd, fd1)):
             for r, v in col.items():
                 D[r, c] = v
-        snf[d] = exactlin.smith_normal_form(D) if D.size else ()
+        snf[d] = snf_scan_oracle(D) if D.size else ()
     return {k: (len(faces.get(k, [])) - len(snf[k]) - len(snf[k + 1]),
                 tuple(d for d in snf[k + 1] if d > 1)) for k in ks}
 
