@@ -19,6 +19,14 @@ from . import fi_core, fi_homology
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative(**values: int) -> None:
+    """Raise ValueError naming the first of `values` that is negative; a
+    negative degree would index the inputs from their end."""
+    for name, v in values.items():
+        if v < 0:
+            raise ValueError(f"{name} must be nonnegative, got {v}")
+
+
 def star_bounds(t0: int, t1: int) -> dict:
     """Stable and local degree from a presentation."""
     return {
@@ -67,6 +75,7 @@ def typeA_propagate(d: int, deltas: list[int], hmaxes: list[int],
     in weight k needs inputs up to l = k + s - d with s = max(k+2, d) for
     the local part and l = 2k - d + 1 for the quadratic part.
     """
+    _nonnegative(k=k)
     s = max(k + 2, d)
     need_h = k + s - d
     need_d = 2 * k - d + 1
@@ -82,6 +91,7 @@ def typeA_propagate(d: int, deltas: list[int], hmaxes: list[int],
 
 def typeA_semiinduced(mu: int, d: int, k: int) -> dict:
     """Specialization when the inputs are semi-induced of slope mu."""
+    _nonnegative(k=k)
     c = 2 * mu * (d - 1)
     return {
         "delta_le": mu * k,
@@ -98,6 +108,7 @@ def config_bounds(dim: int, orientable: bool, k: int,
     cohomological weight k."""
     if dim < 2:
         raise ValueError("manifold dimension must be at least 2")
+    _nonnegative(k=k)
     mu = 2 if dim == 2 else 1
     lam = 1 if orientable else 0
     if two_vector_fields:
@@ -123,6 +134,7 @@ def typeB_step(t_k: int, t_k1: int, prev_hmax: int) -> int:
 
 def typeB_growth(a: int, b: int, k: int) -> dict:
     """Closed forms when the hyper t-degrees grow linearly: t_k <= a k + b."""
+    _nonnegative(k=k)
     return {
         "delta_le": a * k + b,
         "hmax_le": a * k * k + 2 * (a + b) * k + a + 2 * b,
@@ -134,6 +146,7 @@ def typeB_growth(a: int, b: int, k: int) -> dict:
 def congruence_bounds(d: int, k: int) -> dict:
     """Homology of congruence kernels over a ring of dimension d,
     homological degree k: the linear-growth case with slope 2, offset d."""
+    _nonnegative(d=d, k=k)
     return {
         "delta_le": 2 * k + d,
         "hmax_le": 2 * k * k + 2 * (d + 2) * k + 2 * (d + 1),

@@ -150,12 +150,13 @@ def _bar_rank(table: np.ndarray, j: int, p: int) -> int:
 
 
 def _bar_cap(p: int) -> int:
-    # odd-prime boundaries reduce their rows as python dicts, still about
-    # four times slower per column than the GF(2) int-bitset reduction:
-    # on a 2-core Xeon, with clearing, 0.10 s for the 19,683 columns of
-    # d_3 of (Z/3)^3 against 0.08 s for the 65,536 of d_4 of (Z/2)^4
-    # (0.35 s and 0.09 s without).  So they get a smaller direct-bar
-    # budget.
+    # the rows of a wide boundary at p = 3 are packed ints of 3-bit fields,
+    # still slower per column than the GF(2) bitsets: on a 2-core Xeon,
+    # with clearing, 0.039 s for the 19,683 columns of d_3 of (Z/3)^3
+    # against 0.110 s for the 65,536 of d_4 of (Z/2)^4 (0.088 s and
+    # 0.160 s without; as dicts d_3 took 0.136 s, 0.411 s without), and
+    # other odd p reduce dicts.  So odd p keep a smaller direct-bar
+    # budget; raising it would reroute cases and change what is refused.
     return BAR_CAP if p == 2 else BAR_CAP_ODD
 
 

@@ -37,6 +37,22 @@ def test_bounds_congruence_values(capsys):
                               "t0_le": 11, "t1_le": 20}
 
 
+@pytest.mark.parametrize("argv", [
+    ["typeA", "--d", "1", "--deltas", "0", "1", "5", "--hmaxes", "0", "1",
+     "2", "3", "--k", "-1"],
+    ["typeA-semi", "--mu", "1", "--d", "2", "--k", "-1"],
+    ["config", "--dim", "2", "--k", "-1"],
+    ["typeB", "--a", "2", "--b", "0", "--k", "-2"],
+    ["congruence", "--d", "0", "--k", "-1"],
+    ["congruence", "--d", "-1", "--k", "1"],
+])
+def test_bounds_reject_negative_degrees(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be nonnegative" in err
+
+
 def test_bounds_audit_requires_seed(capsys):
     code, _, err = run(capsys, "bounds", "audit")
     assert code == 2

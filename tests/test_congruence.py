@@ -196,7 +196,7 @@ def test_bar_clearing_skips_the_rows_proved_dependent(monkeypatch, p):
     order = len(table)
     boundaries = [cg._bar_entries(table, j) for j in (3, 4)]
     plain = [exactlin.entry_rank(*b, p) for b in boundaries]
-    name = "_gf2_reduce" if p == 2 else "_modp_reduce"
+    name = "_gf2_reduce" if p == 2 else "_packed_modp_reduce"
     reduce, fed = getattr(exactlin, name), []
 
     def counting(vectors, length, *rest):

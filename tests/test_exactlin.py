@@ -474,18 +474,21 @@ def complex_cases(draw):
     for n in dims[2:]:
         K = exactlin.kernel_basis_modp(dense[-1], p)[0]
         dense.append(exactlin.matmul_modp(K, sparse(K.shape[1], n), p))
-    boundaries = []
-    for D in dense:
-        r, c = np.nonzero(D)
-        part = rng.integers(-2 * p, 2 * p + 1, size=r.size)
-        zr = rng.integers(0, max(D.shape[0], 1), size=D.size // 3)
-        zc = rng.integers(0, max(D.shape[1], 1), size=D.size // 3)
-        boundaries.append((
-            np.concatenate([r, r, zr]), np.concatenate([c, c, zc]),
+    return p, [scattered_entries(D, p, rng) for D in dense], dense
+
+
+def scattered_entries(D, p, rng):
+    """Entry arrays of the matrix D mod p: each nonzero split into two
+    coincident summands, often negative, and entries that are zero mod p
+    scattered in."""
+    r, c = np.nonzero(D)
+    part = rng.integers(-2 * p, 2 * p + 1, size=r.size)
+    zr = rng.integers(0, max(D.shape[0], 1), size=D.size // 3)
+    zc = rng.integers(0, max(D.shape[1], 1), size=D.size // 3)
+    return (np.concatenate([r, r, zr]), np.concatenate([c, c, zc]),
             np.concatenate([part, D[r, c] - part,
                             p * rng.integers(-2, 3, size=zr.size)]),
-            *D.shape))
-    return p, boundaries, dense
+            *D.shape)
 
 
 @settings(max_examples=300, deadline=None)
@@ -500,10 +503,104 @@ def test_complex_ranks_match_entry_rank_and_rref(case):
     assert exactlin.complex_ranks(iter(boundaries), p) == want
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_complex_ranks_when_cleared_rows_hold_every_entry(p):
+    # the pivot of d_1 names row 1 of d_2, whose only entries cancel mod p
+    d1 = (np.array([0]), np.array([1]), np.array([1]), 1, 2)
+    d2 = (np.array([1, 1]), np.array([2, 2]), np.array([1, p - 1]), 2, 3)
+    assert exactlin.complex_ranks([d1, d2], p) == [1, 0]
+
+
 def test_complex_ranks_reject_boundaries_that_do_not_compose():
     empty = (np.zeros(0, dtype=np.int64),) * 3
     with pytest.raises(ValueError, match="follows one with 3 columns"):
         exactlin.complex_ranks([(*empty, 2, 3), (*empty, 4, 5)], 3)
+
+
+# packed odd-p rows: int fields of w bits, against rref_modp and the dicts --
+
+
+PACKED_PS = [3, 5, 7]     # the packed kernel, forced on for 5 and 7
+DICT_P = 11               # wide boundaries at this p stay on dicts
+
+
+def test_packed_rule_leaves_a_prime_on_the_dict_side():
+    assert exactlin._PACKED_PMAX in PACKED_PS and DICT_P > exactlin._PACKED_PMAX
+
+
+@st.composite
+def wide_complex_cases(draw):
+    """(p, two wide boundaries d_1 d_2 = 0 mod p as `scattered_entries`,
+    their dense matrices mod p, a packing buffer size).  Widths run to 90
+    fields, past byte and 64-bit word ends at every field width, and
+    buffers of a few bytes split the rows into many chunks."""
+    p = draw(st.sampled_from(PACKED_PS + [DICT_P]))
+    a = draw(st.integers(0, 6))
+    b = draw(st.integers(a + 1, 40))
+    c = draw(st.integers(b + 1, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.3, 0.9]))
+
+    def sparse(m, n):
+        return rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < density)
+
+    d1 = sparse(a, b) % p
+    K = exactlin.kernel_basis_modp(d1, p)[0]
+    dense = [d1, exactlin.matmul_modp(K, sparse(K.shape[1], c), p)]
+    return (p, [scattered_entries(D, p, rng) for D in dense], dense,
+            draw(st.sampled_from([1, 3, 8, 64, 1 << 20])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_complex_cases())
+def test_packed_odd_p_ranks_match_rref_with_clearing(case):
+    p, boundaries, dense, pack_bytes = case
+    want = [len(exactlin.rref_modp(D, p)[1]) for D in dense]
+    pmax = p if p in PACKED_PS else exactlin._PACKED_PMAX
+    with mock.patch.object(exactlin, "_PACKED_PMAX", pmax), \
+            mock.patch.object(exactlin, "_PACK_BYTES", pack_bytes):
+        assert [exactlin.entry_rank(*b, p) for b in boundaries] == want
+        assert exactlin.complex_ranks(boundaries, p) == want
+
+
+@st.composite
+def packed_runs(draw):
+    """(p, sparse vectors as index -> residue dicts, their length, a
+    packing buffer size): each index once, values in [1, p)."""
+    p = draw(st.sampled_from(PACKED_PS + [DICT_P]))
+    length = draw(st.integers(1, 90))
+    vectors = draw(st.lists(st.dictionaries(
+        st.integers(0, length - 1), st.integers(1, p - 1),
+        max_size=draw(st.sampled_from([3, length]))), max_size=24))
+    return p, vectors, length, draw(st.sampled_from([1, 5, 64, 1 << 20]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_runs())
+def test_packed_and_dict_kernels_agree_on_rank_and_pivot_keys(case):
+    # complex_ranks clears the next boundary's rows by these keys, so the
+    # two kernels must name the same ones, not only count them alike
+    p, vectors, length, pack_bytes = case
+    runs = [sorted(v.items()) for v in vectors]
+    idx = np.array([i for run in runs for i, _ in run], dtype=np.int64)
+    vals = np.array([v for run in runs for _, v in run], dtype=np.int64)
+    starts = np.cumsum([0] + [len(run) for run in runs])
+    w = exactlin._field_width(p)
+    with mock.patch.object(exactlin, "_PACK_BYTES", pack_bytes):
+        packed = list(exactlin._pack_runs(idx, starts, length, vals, w))
+    assert len(packed) == len(vectors)
+    for x, v in zip(packed, vectors):
+        assert x >> length * w == 0
+        assert {i: x >> i * w & (1 << w) - 1 for i in range(length)} \
+            == {i: v.get(i, 0) for i in range(length)}
+    keys = exactlin._packed_modp_reduce(packed, length, p)
+    (rank,), pivots = exactlin._modp_reduce(vectors, length, p,
+                                            exactlin._ALL)
+    assert sorted(keys) == sorted(pivots)
+    dense = np.zeros((len(vectors), length), dtype=np.int64)
+    for r, v in enumerate(vectors):
+        dense[r, list(v)] = list(v.values())
+    assert rank == len(keys) == rank_oracle(dense, p)
 
 
 def test_rank_modp_gf2_above_dense_threshold():
