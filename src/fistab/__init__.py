@@ -2,6 +2,7 @@
 
 Subpackages are layered bottom-up:
 
+    errors      the exceptions the command line maps to exit codes
     exactlin    exact linear algebra over F_p and Z
     fi_core     truncated consistent sequences (windowed FI-modules)
     fi_homology homology functors, invariants, polynomial fitting

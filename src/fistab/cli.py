@@ -5,6 +5,10 @@ runs are scriptable.  Exit codes: 0 success/verified, 1 violation,
 failed nonvanishing check or failed polynomial fit, 2 usage or input
 error or a window too short for the request, 3 feasibility guard, 4
 internal inconsistency (two routes that must agree did not).
+
+Each subcommand imports the library modules it runs when it runs, so a
+command starts with only its own code loaded: `fistab bounds` loads no
+numpy, and a `verify` command loads only `splitbases` and `exactlin`.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ import json
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, bounds, congruence, fi_core, fi_homology, splitbases
-from .splitbases import FeasibilityError
+from . import __version__
+from .errors import (FeasibilityError, FitError, InternalConsistencyError,
+                     ValidationError, WindowError)
 
 
 def _common(sub: argparse.ArgumentParser) -> None:
@@ -39,6 +42,7 @@ def _emit(args, report: dict, code: int) -> int:
 
 
 def _jsonable(x):
+    import numpy as np
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, np.ndarray):
@@ -80,6 +84,7 @@ def _report(args, outputs: dict, t0: float, verdict=None) -> dict:
 
 
 def _cmd_fimod_validate(args) -> int:
+    from . import fi_core
     t0 = time.perf_counter()
     M = fi_core.load(args.file)
     errors = fi_core.validate(M)
@@ -89,6 +94,7 @@ def _cmd_fimod_validate(args) -> int:
 
 
 def _cmd_fimod_construct(args) -> int:
+    from . import fi_core
     t0 = time.perf_counter()
     if args.kind == "constant":
         M = fi_core.constant_module(args.p, args.N)
@@ -113,6 +119,7 @@ def _cmd_fimod_construct(args) -> int:
 
 
 def _cmd_fimod_invariants(args) -> int:
+    from . import fi_core, fi_homology
     t0 = time.perf_counter()
     M = fi_core.load(args.file)
     fi_core.assert_valid(M)
@@ -122,6 +129,7 @@ def _cmd_fimod_invariants(args) -> int:
 
 
 def _cmd_fimod_homology(args) -> int:
+    from . import fi_core, fi_homology
     t0 = time.perf_counter()
     M = fi_core.load(args.file)
     fi_core.assert_valid(M)
@@ -131,6 +139,7 @@ def _cmd_fimod_homology(args) -> int:
 
 
 def _cmd_fimod_fit(args) -> int:
+    from . import fi_core, fi_homology
     t0 = time.perf_counter()
     M = fi_core.load(args.file)
     fi_core.assert_valid(M)
@@ -147,6 +156,7 @@ def _cmd_fimod_fit(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
     t0 = time.perf_counter()
     which = args.bounds_cmd
     if which == "star":
@@ -189,6 +199,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_spb_build(args) -> int:
+    from . import splitbases
     t0 = time.perf_counter()
     X = splitbases.spb_complex(args.m, args.q, args.n, args.variant)
     if args.out:
@@ -203,6 +214,7 @@ def _cmd_spb_build(args) -> int:
 
 
 def _cmd_spb_homology(args) -> int:
+    from . import splitbases
     t0 = time.perf_counter()
     if args.file:
         with open(args.file) as fh:
@@ -222,6 +234,7 @@ def _cmd_spb_homology(args) -> int:
 
 
 def _cmd_spb_verify(args) -> int:
+    from . import splitbases
     t0 = time.perf_counter()
     mode = args.mode
     if mode == "theoremD":
@@ -249,6 +262,7 @@ def _cmd_spb_verify(args) -> int:
 
 
 def _cmd_cong(args) -> int:
+    from . import congruence, fi_core
     t0 = time.perf_counter()
     which = args.cong_cmd
     if which == "group":
@@ -439,15 +453,14 @@ def main(argv: list[str] | None = None) -> int:
     except FeasibilityError as exc:
         print(f"feasibility guard: {exc}", file=sys.stderr)
         return 3
-    except fi_homology.InternalConsistencyError as exc:
+    except InternalConsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4
-    except fi_homology.FitError as exc:
+    except FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
     except (UsageError, FileNotFoundError, json.JSONDecodeError,
-            ValueError, KeyError, fi_core.ValidationError,
-            fi_core.WindowError) as exc:
+            ValueError, KeyError, ValidationError, WindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactlin, fi_core, fi_homology, splitbases
-from .fi_homology import InternalConsistencyError
-from .splitbases import FeasibilityError, SimplicialComplex
+from .errors import FeasibilityError, InternalConsistencyError
+from .splitbases import SimplicialComplex
 
 BAR_CAP = 1 << 20
 BAR_CAP_ODD = 1 << 16

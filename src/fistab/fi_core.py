@@ -37,14 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exactlin
-
-
-class ValidationError(Exception):
-    """A consistency identity failed; message names level and identity."""
-
-
-class WindowError(Exception):
-    """Requested computation does not fit in the stored window."""
+from .errors import ValidationError, WindowError
 
 
 # ---------------------------------------------------------------------------

@@ -50,17 +50,9 @@ from math import comb
 import numpy as np
 
 from . import exactlin
-from .fi_core import (FIModuleWindow, FIMapWindow, WindowError, shift,
-                      derivative, observed_torsion, label_maps)
-
-
-class InternalConsistencyError(Exception):
-    """Two routes that must agree produced different answers."""
-
-
-class FitError(Exception):
-    """Stored dimensions do not agree with the fitted polynomial in the
-    expected onset range."""
+from .errors import FitError, InternalConsistencyError, WindowError
+from .fi_core import (FIModuleWindow, FIMapWindow, shift, derivative,
+                      observed_torsion, label_maps)
 
 
 # ---------------------------------------------------------------------------

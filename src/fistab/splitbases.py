@@ -33,13 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactlin
+from .errors import FeasibilityError
 
 GROUP_CAP = 1 << 26
 FACE_CAP = 1 << 24
-
-
-class FeasibilityError(Exception):
-    """The requested computation exceeds the configured size guards."""
 
 
 # ---------------------------------------------------------------------------

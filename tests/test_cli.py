@@ -1,8 +1,15 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fistab import cli, congruence, fi_core, fi_homology
+from fistab import cli, congruence, errors, fi_core, fi_homology, splitbases
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -271,17 +278,6 @@ def test_cong_group_and_theoremC(capsys):
     assert doc["outputs"]["equal"] is True
 
 
-def test_internal_inconsistency_exit_code(capsys, monkeypatch):
-    def disagree(*args):
-        raise fi_homology.InternalConsistencyError("routes disagree")
-
-    monkeypatch.setattr(congruence, "theoremC_check", disagree)
-    code, _, err = run(capsys, "cong", "theoremC", "--p", "2", "--ell", "2",
-                       "--n", "1", "--k", "1")
-    assert code == 4
-    assert "internal inconsistency: routes disagree" in err
-
-
 def test_report_records_main_argv(capsys):
     # in-process calls record their own arguments, not the host's argv
     argv = ["bounds", "star", "--t0", "1", "--t1", "2", "--json"]
@@ -326,3 +322,116 @@ def test_charney_and_ygamma_cli(capsys):
     code, out, _ = run(capsys, "verify", "ygamma", "--m", "4", "--q", "2",
                        "--n", "2")
     assert code == 0 and "pass" in out
+
+
+def _fresh_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    return env
+
+
+# Prints the fistab modules (fistab.cli aside) and whether numpy is loaded
+# after importing fistab.cli and running the command in argv, if any.
+FOOTPRINT = """
+import contextlib, io, json, sys
+import fistab.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fistab.cli.main(sys.argv[1:]) == 0
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("fistab")
+                         and m != "fistab.cli"), "numpy" in sys.modules]))
+"""
+
+VERIFY = ["fistab", "fistab.errors", "fistab.exactlin", "fistab.splitbases"]
+CONGRUENCE = ["fistab", "fistab.congruence", "fistab.errors",
+              "fistab.exactlin", "fistab.fi_core", "fistab.fi_homology",
+              "fistab.splitbases"]
+
+FOOTPRINTS = [
+    ("", ["fistab", "fistab.errors"], False),
+    ("bounds congruence --d 0 --k 1", ["fistab", "fistab.bounds",
+                                       "fistab.errors"], False),
+    ("verify theoremD --p 2 --ell 2 --k 1", VERIFY, True),
+    ("verify charney --m 4 --q 2 --n 3", VERIFY, True),
+    ("verify spb_in_su --m 4 --q 2 --n 3", VERIFY, True),
+    ("verify ygamma --m 4 --q 2 --n 2", VERIFY, True),
+    ("cong theoremC --p 2 --ell 2 --n 1 --k 1", CONGRUENCE, True),
+    ("cong appB --k 1 --p 2 --N 6", sorted(CONGRUENCE + ["fistab.bounds"]),
+     True),
+]
+
+
+@pytest.mark.parametrize("argv, modules, numpy", FOOTPRINTS,
+                         ids=[argv or "import" for argv, _, _ in FOOTPRINTS])
+def test_commands_import_only_what_they_run(argv, modules, numpy):
+    # each command in a fresh interpreter, as a shell user starts it
+    args = argv.split() + ["--json"] if argv else []
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT, *args],
+                         capture_output=True, text=True, env=_fresh_env(),
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [modules, numpy]
+
+
+# (class, its old paths, the library function that raises it, a command
+# that calls that function, exit code, stderr prefix)
+LADDER = [
+    (errors.ValidationError, [(fi_core, "ValidationError")],
+     (fi_core, "assert_valid"), "fimod invariants {free}", 2, "error: "),
+    (errors.WindowError, [(fi_core, "WindowError"),
+                          (fi_homology, "WindowError")],
+     (fi_homology, "homology_table"), "fimod homology {free}", 2, "error: "),
+    (errors.InternalConsistencyError,
+     [(fi_homology, "InternalConsistencyError"),
+      (congruence, "InternalConsistencyError")],
+     (congruence, "theoremC_check"), "cong theoremC --p 2 --ell 2 --n 1 --k 1",
+     4, "internal inconsistency: "),
+    (errors.FitError, [(fi_homology, "FitError")],
+     (fi_homology, "polynomial_fit"), "fimod fit {free}", 1, "fit failed: "),
+    (errors.FeasibilityError, [(splitbases, "FeasibilityError"),
+                               (congruence, "FeasibilityError")],
+     (splitbases, "spb_complex"), "spb homology --m 4 --q 2 --n 3", 3,
+     "feasibility guard: "),
+]
+
+
+@pytest.mark.parametrize("cls, old_paths, target, argv, code, prefix", LADDER,
+                         ids=[case[0].__name__ for case in LADDER])
+def test_exit_code_ladder(tmp_path, capsys, monkeypatch, cls, old_paths,
+                          target, argv, code, prefix):
+    for module, name in old_paths:
+        assert getattr(module, name) is cls
+
+    def fail(*args, **kwargs):
+        raise cls("planted")
+
+    f = tmp_path / "free.json"
+    fi_core.save(fi_core.free_module(2, 1, 5), str(f))
+    monkeypatch.setattr(*target, fail)
+    got, out, err = run(capsys, *argv.format(free=f).split())
+    assert got == code
+    assert out == ""
+    assert err == prefix + "planted\n"
+
+
+def test_verification_script_runs_the_benchmarked_commands():
+    script = ROOT / "scripts" / "run_verification.sh"
+    commands = tuple(line.split(" ", 1)[1]
+                     for line in script.read_text().splitlines()
+                     if line.startswith("fistab "))
+    # cli_battery times this script's commands, so they must stay the same;
+    # its list is read from the source, without running the benchmark code
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    benchmarked, = (ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["CLI_COMMANDS"])
+    assert commands == benchmarked
+
+    env = _fresh_env()
+    env["PATH"] = os.pathsep.join([os.path.dirname(sys.executable),
+                                   env.get("PATH", "")])
+    out = subprocess.run(["sh", str(script)], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "verification battery passed"
