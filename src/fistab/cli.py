@@ -95,7 +95,6 @@ def _cmd_fimod_validate(args) -> int:
 
 def _cmd_fimod_construct(args) -> int:
     from . import fi_core
-    t0 = time.perf_counter()
     if args.kind == "constant":
         M = fi_core.constant_module(args.p, args.N)
     elif args.kind == "free":
@@ -219,6 +218,8 @@ def _cmd_spb_homology(args) -> int:
     if args.file:
         with open(args.file) as fh:
             X = splitbases.SimplicialComplex.decode(json.load(fh))
+    elif None in (args.m, args.q, args.n):
+        raise UsageError("spb homology needs --file or all of --m --q --n")
     else:
         X = splitbases.spb_complex(args.m, args.q, args.n, args.variant)
     ks = args.k if args.k else list(range(max(X.dimension(), 0) + 1))

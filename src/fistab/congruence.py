@@ -386,9 +386,7 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
     # group action on each face list
     facts = {b: _face_action(faces[b], E.vertex_action)
              for b in range(0, top + 1)}
-    bdry = {b: exactlin.index_entries(
-        splitbases.boundary_columns(faces[b], faces[b - 1]),
-        splitbases._boundary_signs(b + 1)) for b in range(0, top + 1)}
+    bdry = {b: splitbases.boundary_entries(X, b) for b in range(0, top + 1)}
 
     def blocks(t: int) -> list[tuple[int, int, int]]:
         # x = bar degree a, y = simplicial degree b
@@ -400,8 +398,8 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
             *_bar_faces(E.table, a, facts.get(b), cdims[b]))
 
     def simplicial(a: int, b: int):
-        return fi_homology.tensor_identity(order ** a, bdry[b], cdims[b - 1],
-                                           cdims[b])
+        *entries, nrows, ncols = bdry[b]
+        return fi_homology.tensor_identity(order ** a, entries, nrows, ncols)
 
     degrees = range(-1, k_max + 2)
     dims = _total_dims(blocks, degrees, p)

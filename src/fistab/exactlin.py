@@ -21,9 +21,9 @@ for that kernel.  It takes the consecutive boundaries of one chain
 complex, and where d_k and d_{k+1} are both wide it skips the rows of
 d_{k+1} that the pivots of d_k prove dependent ("clearing"), which is
 exact only because d_k d_{k+1} = 0.  `entry_rank` is its one-boundary
-case; `sparse_rank_modp`, `rank_gf2_from_columns` and `index_rank_modp`
-rank dict or index-list columns and index arrays through that.  The
-prefix ranks keep the column order.
+case; `sparse_rank_modp` and `rank_gf2_from_columns` rank dict or
+index-list columns through that, and `index_entries` gives the entry
+arrays of an index array.  The prefix ranks keep the column order.
 """
 
 from __future__ import annotations
@@ -422,11 +422,6 @@ def index_entries(faces: np.ndarray, signs):
     if faces.ndim != 2:
         raise ValueError("expected a 2d index array")
     return faces, np.arange(len(faces))[:, None], signs
-
-
-def index_rank_modp(faces: np.ndarray, signs, nrows: int, p: int) -> int:
-    """Rank over F_p of the matrix of `index_entries(faces, signs)`."""
-    return entry_rank(*index_entries(faces, signs), nrows, len(faces), p)
 
 
 def sparse_prefix_ranks(columns, nrows: int, p: int, counts) -> list[int]:

@@ -15,9 +15,11 @@ A complex stores its maximal simplices once, as sorted int64 rows, one
 array per simplex size, rows distinct and in lexicographic order, and
 hands out its faces as memoised int arrays of the same form.  The orbit
 builder sorts and dedupes its id rows with one sort of row codes, and
-vertex maps are checked on those rows.  Every chain complex gets its
-boundary from the face arrays: `boundary_columns` finds each facet of a
-face by `face_index`, a binary search on prefix-index codes.
+vertex maps are checked on those rows.  Every simplicial boundary, of
+the Betti numbers, the integral homology and the equivariant homology of
+`congruence`, comes from one builder, `boundary_entries`: the augmented
+boundary as entry arrays, each facet of a face found by `face_index`, a
+binary search on prefix-index codes.
 
 Everything is enumerated exactly and guarded: group orders are capped at
 2^26, face counts at 2^24, and the dense integral boundary matrices at
@@ -303,8 +305,8 @@ class SimplicialComplex:
 
     def _enumerate(self, k: int) -> np.ndarray:
         nv = len(self.vertices)
-        if k < 0:
-            out = np.zeros((int(k == -1), 0), dtype=np.int64)
+        if not 0 <= k <= self.dimension():
+            out = np.zeros((int(k == -1), max(k + 1, 0)), dtype=np.int64)
             out.flags.writeable = False
             return out
         # each k-face is keyed by the code index(f[:-1]) * nv + f[-1],
@@ -651,98 +653,71 @@ def coset_spb_isomorphism(m: int, q: int, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _components(nverts: int, edges: np.ndarray) -> int:
-    parent = list(range(nverts))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges.tolist():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(x) for x in range(nverts)})
-
-
-def boundary_columns(faces_k: np.ndarray, faces_km1: np.ndarray
-                     ) -> np.ndarray:
-    """The simplicial boundary of each face in `faces_k` over `faces_km1`,
-    as a facet-index array: out[c, j] is the index of face c without its
-    j-th vertex, whose coefficient is (-1)^j.  Vertices bound the
-    augmentation cell ()."""
-    F, w = faces_k.shape
-    facets = np.stack([np.delete(faces_k, j, axis=1) for j in range(w)],
-                      axis=1)
-    return face_index(faces_km1, facets.reshape(F * w, w - 1)).reshape(F, w)
-
-
-def _boundary_signs(width: int) -> np.ndarray:
-    return np.where(np.arange(width) % 2, -1, 1)
+def boundary_entries(X: SimplicialComplex, k: int):
+    """The augmented boundary d_k from the k-faces to the (k-1)-faces of
+    X, as the entry arrays (rows, cols, vals, nrows, ncols) that
+    `exactlin.complex_ranks` takes: rows[c, j] is the index of face c
+    without its j-th vertex, whose coefficient is vals[j] = (-1)^j, and
+    cols[c] = c.  Vertices bound the augmentation cell () of
+    `faces(-1)`; in a degree with no k-face the boundary is empty, of
+    shape len(faces(k - 1)) x 0."""
+    upper, lower = X.faces(k), X.faces(k - 1)
+    F, w = upper.shape
+    rows = np.zeros((F, w), dtype=np.int64)
+    if F and w:
+        facets = np.stack([np.delete(upper, j, axis=1) for j in range(w)],
+                          axis=1)
+        rows = face_index(lower, facets.reshape(F * w, w - 1)).reshape(F, w)
+    return (rows, np.arange(F)[:, None], np.where(np.arange(w) % 2, -1, 1),
+            len(lower), F)
 
 
 def reduced_betti(X: SimplicialComplex, p: int,
                   ks: list[int]) -> dict[int, int]:
-    """Reduced Betti numbers over F_p in the requested dimensions.
-
-    Dimension 0 uses the component count (exact over any field); higher
-    dimensions use exact boundary ranks, and lower ones the augmentation
-    cell of `faces(-1)`, as `integral_reduced_homology` does.
+    """Reduced Betti numbers over F_p in the requested dimensions:
+    dim H~_k = #k-faces - rank d_k - rank d_{k+1}, the boundaries taken
+    from `boundary_entries`.  The boundaries needed are ranked in one
+    `exactlin.complex_ranks` pass per run of consecutive degrees, which
+    clears each by the pivots of the one below it where both are wide;
+    no other boundary is built.
     """
     exactlin._check_p(p)
-    out = {}
-    nv = len(X.vertices)
-    rank_cache: dict[int, int] = {}
-
-    def get_rank(k: int) -> int:
-        # rank of the boundary from k-faces to (k-1)-faces
-        if k in rank_cache:
-            return rank_cache[k]
-        if k < 0:
-            r = 0
-        elif k == 0:
-            r = 1 if len(X.faces(0)) else 0  # augmentation
-        elif k == 1:
-            r = nv - _components(nv, X.faces(1))
+    runs: list[list[int]] = []
+    for d in sorted({d for k in ks for d in (k, k + 1)}):
+        if runs and runs[-1][-1] == d - 1:
+            runs[-1].append(d)
         else:
-            r = exactlin.index_rank_modp(
-                boundary_columns(X.faces(k), X.faces(k - 1)),
-                _boundary_signs(k + 1), len(X.faces(k - 1)), p)
-        rank_cache[k] = r
-        return r
-
-    for k in ks:
-        out[k] = len(X.faces(k)) - get_rank(k) - get_rank(k + 1)
-    return out
+            runs.append([d])
+    rank = {}
+    for run in runs:
+        rank.update(zip(run, exactlin.complex_ranks(
+            (boundary_entries(X, d) for d in run), p)))
+    return {k: len(X.faces(k)) - rank[k] - rank[k + 1] for k in ks}
 
 
 def integral_reduced_homology(X: SimplicialComplex,
                               ks: list[int]) -> dict[int, tuple[int, tuple]]:
     """(free rank, torsion invariant factors) over the integers.
 
-    The boundaries are dense integer matrices, so each is guarded: one
-    with more than FACE_CAP cells raises FeasibilityError.
+    The boundaries of `boundary_entries` are scattered into dense integer
+    matrices, so each is guarded: one with more than FACE_CAP cells
+    raises FeasibilityError.
     """
-    faces = {k: X.faces(k) for k in range(-1, X.dimension() + 2)}
-    cells = {k: len(f) for k, f in faces.items()}
     # each boundary is guarded before any is built, and reduced once
     needed = sorted({d for k in ks for d in (k, k + 1)})
     for d in needed:
-        rows, cols = cells.get(d - 1, 0), cells.get(d, 0)
+        rows, cols = len(X.faces(d - 1)), len(X.faces(d))
         if rows * cols > FACE_CAP:
             raise FeasibilityError(
                 f"boundary matrix {rows} x {cols} in dimension {d} "
                 f"exceeds the cap {FACE_CAP}")
     snf = {}
     for d in needed:
-        D = np.zeros((cells.get(d - 1, 0), cells.get(d, 0)), dtype=np.int64)
-        if D.size:
-            facets = boundary_columns(faces[d], faces[d - 1])
-            D[facets, np.arange(D.shape[1])[:, None]] = _boundary_signs(d + 1)
+        rows, cols, vals, nrows, ncols = boundary_entries(X, d)
+        D = np.zeros((nrows, ncols), dtype=np.int64)
+        D[rows, cols] = vals
         snf[d] = exactlin.smith_normal_form(D) if D.size else ()
-    return {k: (cells.get(k, 0) - len(snf[k]) - len(snf[k + 1]),
+    return {k: (len(X.faces(k)) - len(snf[k]) - len(snf[k + 1]),
                 tuple(d for d in snf[k + 1] if d > 1)) for k in ks}
 
 

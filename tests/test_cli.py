@@ -118,6 +118,8 @@ def test_construct_random_needs_seed(capsys):
     "fimod construct --kind free --p 2 --N 3 --deg -1",
     "fimod construct --kind random-presented --p 2 --N -1 --seed 1",
     "cong appB --k 1 --p 2 --N -1",
+    "spb homology",
+    "spb homology --m 4 --q 2",
 ])
 def test_bad_sizes_are_usage_errors(capsys, argv):
     # a non-prime modulus, a negative window or a negative degree is bad

@@ -107,7 +107,7 @@ def test_bar_faces_match_definition():
 
 
 def test_bar_ranks_match_dense_rref():
-    # every bar boundary is wide, so at odd p index_rank_modp ranks its
+    # every bar boundary is wide, so at odd p entry_rank ranks its
     # reversed rows; the dense oracle reads the matrix of the definition
     cyc = cg._cyclic_table
     groups = [cyc(3), cyc(6), cg._product_table([cyc(3), cyc(3)]),
@@ -120,8 +120,9 @@ def test_bar_ranks_match_dense_rref():
                     continue
                 faces, signs = cg._bar_faces(table, j, action, nb)
                 D = bar_reference(table, j, action, nb)
-                assert exactlin.index_rank_modp(
-                    faces, signs, len(D), 3) == len(exactlin.rref_modp(D, 3)[1])
+                assert exactlin.entry_rank(
+                    *exactlin.index_entries(faces, signs), len(D), len(faces),
+                    3) == len(exactlin.rref_modp(D, 3)[1])
 
 
 def test_bar_cyclic_values():

@@ -302,7 +302,8 @@ def test_gf2_index_array_rank_matches_oracle(case):
         for r, s in zip(rows, signs.tolist()):
             signed[r, c] += s
     for p in (2, 3):
-        assert exactlin.index_rank_modp(A, signs, nrows, p) \
+        assert exactlin.entry_rank(
+            *exactlin.index_entries(A, signs), nrows, len(A), p) \
             == rank_oracle(signed, p)
 
 
@@ -344,12 +345,14 @@ def test_odd_index_out_of_range_raises(nrows, bad, p):
     bad = {"nrows": nrows, "2 nrows - 1": 2 * nrows - 1}.get(bad, bad)
     A = np.array([[0, 1], [2, bad], [1, 1], [0, 2]], dtype=np.int64)
     with pytest.raises(ValueError, match="out of range"):
-        exactlin.index_rank_modp(A, np.array([1, -1]), nrows, p)
+        exactlin.entry_rank(
+            *exactlin.index_entries(A, np.array([1, -1])), nrows, len(A), p)
     dicts = [dict(zip(c, (1, -1))) for c in A.tolist()]
     with pytest.raises(ValueError, match="out of range"):
         exactlin.sparse_rank_modp(dicts, nrows, p)
     with pytest.raises(ValueError, match="out of range"):
-        exactlin.index_rank_modp(np.array([[-1]]), 1, 2, p)
+        exactlin.entry_rank(
+            *exactlin.index_entries(np.array([[-1]]), 1), 2, 1, p)
     with pytest.raises(ValueError, match="out of range"):
         exactlin.sparse_rank_modp([{7: 1}], 2, p)
 
@@ -401,13 +404,15 @@ def test_odd_p_ranks_match_oracle(case):
     assert exactlin.sparse_rank_modp(cols, nrows, p) == rank_oracle(A, p)
     assert exactlin.sparse_rank_modp(iter(cols), nrows, p) \
         == rank_oracle(A, p)
-    assert exactlin.index_rank_modp(faces, signs, nrows, p) \
+    assert exactlin.entry_rank(
+        *exactlin.index_entries(faces, signs), nrows, len(faces), p) \
         == rank_oracle(F, p)
     # one sign list broadcast over every column
     row_signs = signs[0] if len(signs) else np.ones(faces.shape[1], np.int64)
     G = np.zeros_like(F)
     np.add.at(G, (faces, np.arange(len(faces))[:, None]), row_signs)
-    assert exactlin.index_rank_modp(faces, row_signs, nrows, p) \
+    assert exactlin.entry_rank(
+        *exactlin.index_entries(faces, row_signs), nrows, len(faces), p) \
         == rank_oracle(G, p)
 
 

@@ -646,33 +646,43 @@ def oracle_integral(X, ks):
 @st.composite
 def complexes(draw):
     """Random complexes: mixed maximal sizes, vertex-only ones, vertices
-    in no simplex, and the empty complex."""
+    in no simplex, the empty complex, and ones of large simplices only,
+    in which d_1 and d_2 are often both wide, so that clearing runs."""
     nv = draw(st.integers(0, 7))
     size = draw(st.sampled_from([1, 5]))
+    least = min(draw(st.sampled_from([1, size])), nv)
     simplices = draw(st.lists(
-        st.sets(st.integers(0, nv - 1), min_size=1, max_size=size),
-        max_size=8)) if nv else []
+        st.sets(st.integers(0, nv - 1), min_size=least, max_size=size),
+        min_size=2 * (least > 1), max_size=8)) if nv else []
     return sb.SimplicialComplex(list(range(nv)),
                                 {frozenset(s) for s in simplices})
 
 
-@settings(max_examples=150, deadline=None)
-@given(complexes())
-def test_face_arrays_match_set_route(X):
+@settings(max_examples=300, deadline=None)
+@given(complexes(), st.data())
+def test_face_arrays_match_set_route(X, data):
     top = X.dimension()
     ks = list(range(-2, top + 2))
     for k in ks:
         F = X.faces(k)
         assert F.dtype == np.int64 and F.shape[1] == max(k + 1, 0)
         assert [tuple(f) for f in F.tolist()] == oracle_faces(X, k)
-    for k in range(0, top + 2):
-        facets = sb.boundary_columns(X.faces(k), X.faces(k - 1))
-        signs = sb._boundary_signs(k + 1).tolist()
-        assert [dict(zip(f, signs)) for f in facets.tolist()] \
-            == oracle_boundary(oracle_faces(X, k), oracle_faces(X, k - 1))
-    for p in (2, 3):
-        assert sb.reduced_betti(X, p, ks) == oracle_betti(X, p, ks)
-    assert sb.integral_reduced_homology(X, ks) == oracle_integral(X, ks)
+    for k in ks:
+        rows, cols, vals, nrows, ncols = sb.boundary_entries(X, k)
+        lower, upper = oracle_faces(X, k - 1), oracle_faces(X, k)
+        assert (nrows, ncols) == (len(lower), len(upper))
+        assert cols.ravel().tolist() == list(range(ncols))
+        assert [dict(zip(f, vals.tolist())) for f in rows.tolist()] \
+            == oracle_boundary(upper, lower)
+    # also a drawn subset of the degrees, reversed and its first one
+    # repeated: unsorted, with gaps between the runs of degrees ranked
+    sub = sorted(data.draw(st.sets(st.sampled_from(ks))), reverse=True)
+    for degrees in (ks, sub + sub[:1]):
+        for p in (2, 3):
+            assert sb.reduced_betti(X, p, degrees) \
+                == oracle_betti(X, p, degrees)
+        assert sb.integral_reduced_homology(X, degrees) \
+            == oracle_integral(X, degrees)
 
 
 # verification entry points --------------------------------------------------------
