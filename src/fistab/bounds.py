@@ -201,17 +201,24 @@ def audit(seed: int, n_presented: int = 60, n_sums: int = 15,
     Four families: presented modules, direct sums and derivatives,
     kernels/cokernels of maps of induced windows, and two-term complexes.
     Inequalities are only scored on instances whose invariants certify.
+
+    The induced windows are shared per call: every instance draws its map
+    through one `windows` memo (see `fi_core.random_induced_map`), so
+    instances with the same source or target use one window object, and
+    its cached columns, ranks and invariants.  The memo is dropped when
+    the call returns.
     """
     # imported here, so that the calculators load without numpy
     from . import fi_core, fi_homology
     rep = AuditReport()
+    windows: dict = {}
     invs: list[fi_homology.InvariantReport] = []
 
     for i in range(n_presented):
         gen = 1 + (seed + i) % 2
         rel = gen + 1
         M = fi_core.random_presented(2 + (i % 2), N, gen, rel,
-                                     seed * 1000 + i)
+                                     seed * 1000 + i, windows)
         rep.instances += 1
         inv = fi_homology.invariants(M)
         if not (inv.delta_certified and inv.hmax_certified):
@@ -224,7 +231,7 @@ def audit(seed: int, n_presented: int = 60, n_sums: int = 15,
         if len(invs) >= 2 and i % 4 == 0:
             # direct sum invariants are the maxima of the summand invariants
             B = fi_core.random_presented(2 + (i % 2), N, 1, 2,
-                                         seed * 2000 + i)
+                                         seed * 2000 + i, windows)
             ib = fi_homology.invariants(B)
             s = fi_homology.invariants(fi_core.direct_sum(M, B))
             rep.instances += 1
@@ -238,7 +245,7 @@ def audit(seed: int, n_presented: int = 60, n_sums: int = 15,
 
     for i in range(n_sums):
         M = fi_core.random_presented(2, N, 1 + i % 2, 2 + i % 2,
-                                     seed * 3000 + i)
+                                     seed * 3000 + i, windows)
         rep.instances += 1
         inv = fi_homology.invariants(M)
         D = fi_core.derivative(M)
@@ -251,7 +258,7 @@ def audit(seed: int, n_presented: int = 60, n_sums: int = 15,
 
     for i in range(n_maps):
         f = fi_core.random_induced_map(2 + (i % 2), N, 1 + i % 2, 2 + i % 2,
-                                       seed * 4000 + i)
+                                       seed * 4000 + i, windows)
         rep.instances += 1
         bad = f.validate()
         _check(rep, not bad, f"map[{i}]: {bad[:1]}")
@@ -277,7 +284,7 @@ def audit(seed: int, n_presented: int = 60, n_sums: int = 15,
 
     for i in range(n_complexes):
         f = fi_core.random_induced_map(2 + (i % 2), N, 1 + i % 2, 2 + i % 2,
-                                       seed * 5000 + i)
+                                       seed * 5000 + i, windows)
         C = fi_homology.two_term_complex(f)
         rep.instances += 1
         tdeg = fi_homology.hyper_t_degrees(C, 1)

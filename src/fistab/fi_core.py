@@ -183,31 +183,36 @@ class FIModuleWindow:
     act: list[list[np.ndarray]]      # act[n][i]: s_i on level n, i <= n-2
     phi: list[np.ndarray | None]     # phi[n]: level n-1 -> level n; phi[0] None
     name: str = ""
-    # derived data (insertion maps and their columns, label maps, Koszul
-    # ranks, torsion) computed once per window; valid because a window's
-    # matrices are not mutated after construction
+    # derived data (the Koszul columns of the insertion maps, label maps,
+    # Koszul ranks, torsion, the invariants report) computed once per
+    # window; valid because a window's matrices are not mutated after
+    # construction, so a window may be shared by every caller that builds
+    # the same one (see `random_induced_map`)
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def insertion_map(self, m: int, t: int) -> np.ndarray:
         """Matrix of the order-preserving injection [m] -> [m+1] missing t.
 
-        All m+1 maps of level m are built together, by
         insertion_permutation(m, t) = s_t o insertion_permutation(m, t+1),
-        and cached read-only on the window.
+        so the map missing t is s_t times the map missing t + 1, and the
+        map missing m is the structure map.  Asked for from t = m down to
+        t = 0, as the Koszul route does, the m + 1 maps of level m cost m
+        products: until t = 0 is reached the window holds the last map
+        built, read-only, under "ins", and then no dense map at all.
         """
         if m + 1 > self.N:
             raise WindowError(f"insertion into level {m+1} beyond window {self.N}")
-        maps = self.cache.get(("ins", m))
-        if maps is None:
-            maps = [self.phi[m + 1] % self.p]
-            for s in range(m - 1, -1, -1):
-                maps.append(exactlin.matmul_modp(self.act[m + 1][s], maps[-1],
-                                                 self.p))
-            maps.reverse()
-            for A in maps:
-                A.flags.writeable = False
-            self.cache[("ins", m)] = maps
-        return maps[t]
+        last = self.cache.pop("ins", None)
+        if last is not None and last[:2] == (m, t + 1):
+            A = exactlin.matmul_modp(self.act[m + 1][t], last[2], self.p)
+        else:
+            A = self.phi[m + 1] % self.p
+            for s in range(m - 1, t - 1, -1):
+                A = exactlin.matmul_modp(self.act[m + 1][s], A, self.p)
+        A.flags.writeable = False
+        if t:
+            self.cache["ins"] = (m, t, A)
+        return A
 
     def composite_phi(self, a: int, b: int) -> np.ndarray:
         """Structure map composite: level a -> level b along standard inclusions."""
@@ -683,6 +688,8 @@ def derivative(M: FIModuleWindow, a: int = 1) -> FIModuleWindow:
     """Iterated cokernel of the canonical map into the shift."""
     if a < 0 or a > M.N:
         raise WindowError(f"cannot take {a} derivatives inside window {M.N}")
+    if a == 0:
+        return M
     out = M
     for _ in range(a):
         out = _derivative_once(out)
@@ -764,23 +771,37 @@ def observed_torsion(M: FIModuleWindow) -> tuple[bool, int]:
 # ---------------------------------------------------------------------------
 
 
+def _induced(windows: dict | None, key: tuple, V: FBWindow,
+             N: int) -> FIModuleWindow:
+    """induced_module(V, N), taken from or added to `windows` under key."""
+    if windows is None:
+        return induced_module(V, N)
+    if key not in windows:
+        windows[key] = induced_module(V, N)
+    return windows[key]
+
+
 def random_induced_map(p: int, N: int, gen_deg: int, rel_deg: int,
-                       seed: int) -> FIMapWindow:
+                       seed: int, windows: dict | None = None) -> FIMapWindow:
     """Seeded map between induced windows, free by adjunction.
 
     The target is induced on trivial representations in degrees <= gen_deg,
     the source on the group algebra at rel_deg, so the map is determined by
     one freely chosen vector: the image of the identity basis element.
+
+    `windows`, when given, holds the induced windows built so far: sources
+    keyed by ("source", p, N, rel_deg), targets by ("target", p, N,
+    gen_deg, js), js the degrees of the trivial summands drawn.  A map
+    whose key is there takes that window object, and a new window is
+    added.  Without it both windows are built afresh.  The draws, and so
+    every matrix, are the same either way.
     """
     rng = np.random.default_rng(seed)
-    parts = [fb_trivial(p, gen_deg)]
-    for j in range(gen_deg):
-        if rng.integers(0, 2):
-            parts.append(fb_trivial(p, j))
-    V = fb_direct_sum(*parts)
+    js = tuple(j for j in range(gen_deg) if rng.integers(0, 2))
+    V = fb_direct_sum(fb_trivial(p, gen_deg), *(fb_trivial(p, j) for j in js))
     W = fb_regular(p, rel_deg)
-    tgt = induced_module(V, N)
-    src = induced_module(W, N)
+    tgt = _induced(windows, ("target", p, N, gen_deg, js), V, N)
+    src = _induced(windows, ("source", p, N, rel_deg), W, N)
     gens = induced_basis(V, rel_deg)
     img = rng.integers(0, p, size=len(gens))
     # the target is induced from trivial representations, so sigma only
@@ -805,15 +826,15 @@ def random_induced_map(p: int, N: int, gen_deg: int, rel_deg: int,
 
 
 def random_presented(p: int, N: int, gen_deg: int, rel_deg: int,
-                     seed: int) -> FIModuleWindow:
+                     seed: int, windows: dict | None = None) -> FIModuleWindow:
     """Cokernel of a seeded map of induced windows.
 
     Generated in degrees <= gen_deg with relations in degree rel_deg, so
     the presentation degrees of the result are bounded by (gen_deg, rel_deg).
+    `windows` is passed to `random_induced_map`.
     """
-    f = random_induced_map(p, N, gen_deg, rel_deg, seed)
-    M = cokernel_module(f, name=f"random_presented(seed={seed})")
-    return M
+    f = random_induced_map(p, N, gen_deg, rel_deg, seed, windows)
+    return cokernel_module(f, name=f"random_presented(seed={seed})")
 
 
 # ---------------------------------------------------------------------------

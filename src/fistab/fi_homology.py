@@ -102,14 +102,15 @@ def koszul_columns(ins: list, n: int, k: int, stride: int):
 
 def _window_columns(M: FIModuleWindow, n: int, k: int):
     """koszul_columns of the window M, 1 <= k <= n.  The column form of
-    the m + 1 insertion maps of level m = n - k is kept in M's cache, next
-    to the maps themselves, for every (n, k) with n - k = m."""
+    the m + 1 insertion maps of level m = n - k is kept in M's cache, for
+    every (n, k) with n - k = m; the dense maps are not.  They are asked
+    for from t = m down, so each is one product (`insertion_map`)."""
     m = n - k
     ins = M.cache.get(("cols", m))
     if ins is None:
         ins = M.cache[("cols", m)] = [
             exactlin.dense_to_columns(M.insertion_map(m, t))
-            for t in range(m + 1)]
+            for t in range(m, -1, -1)][::-1]
     return koszul_columns(ins, n, k, M.dims[m + 1])
 
 
@@ -573,7 +574,7 @@ def _solve_fractions(A: list[list[Fraction]], b: list[Fraction]) -> list[Fractio
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantReport:
     t0: int
     t1: int
@@ -597,9 +598,14 @@ class InvariantReport:
 
 
 def invariants(M: FIModuleWindow) -> InvariantReport:
-    t0, t1 = presentation_degrees(M)
-    sd = stable_degree(M)
-    ld = local_degree(M, sd.delta)
-    _, h0 = observed_torsion(M)
-    return InvariantReport(t0, t1, sd.delta, sd.certified, ld.hmax,
-                           ld.certified, h0, is_semi_induced_window(M))
+    """The presentation, stable, local and torsion degrees of M, kept in
+    M's cache (the report is frozen, so every caller reads the same)."""
+    if "invariants" not in M.cache:
+        t0, t1 = presentation_degrees(M)
+        sd = stable_degree(M)
+        ld = local_degree(M, sd.delta)
+        _, h0 = observed_torsion(M)
+        M.cache["invariants"] = InvariantReport(
+            t0, t1, sd.delta, sd.certified, ld.hmax, ld.certified, h0,
+            is_semi_induced_window(M))
+    return M.cache["invariants"]

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from fistab import bounds
+from fistab import bounds, fi_core
 
 
 # closed forms pinned to known values -----------------------------------------
@@ -110,3 +114,78 @@ def test_audit_deterministic():
     b = bounds.audit(3, n_presented=6, n_sums=2, n_maps=2, n_complexes=2, N=5)
     assert (a.instances, a.checks, a.skipped_uncertified, a.violations) \
         == (b.instances, b.checks, b.skipped_uncertified, b.violations)
+
+
+# induced windows shared within one audit call ----------------------------------
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The maps that random_induced_map hands out and weak references to
+    the windows that induced_module builds, while the fixture is in use."""
+    out = {"maps": [], "windows": []}
+    draw, induce = fi_core.random_induced_map, fi_core.induced_module
+
+    def record_map(*args):
+        out["maps"].append(draw(*args))
+        return out["maps"][-1]
+
+    def record_window(*args):
+        M = induce(*args)
+        out["windows"].append(weakref.ref(M))
+        return M
+
+    monkeypatch.setattr(fi_core, "random_induced_map", record_map)
+    monkeypatch.setattr(fi_core, "induced_module", record_window)
+    return out
+
+
+def _content(M):
+    return (M.p, M.N, tuple(M.dims),
+            tuple(A.tobytes() for mats in M.act for A in mats),
+            tuple(P.tobytes() for P in M.phi[1:]))
+
+
+def test_audit_shares_windows_with_the_same_key(recorded):
+    bounds.audit(2025, n_presented=0, n_sums=0, n_maps=15, n_complexes=0,
+                 N=6)
+    maps = recorded["maps"]
+    assert len(maps) == 15
+    for side in ("source", "target"):
+        by_content: dict = {}
+        for f in maps:
+            M = getattr(f, side)
+            assert by_content.setdefault(_content(M), M) is M
+    # 15 maps of 2 distinct sources and 6 distinct targets
+    assert len({id(f.source) for f in maps}) == 2
+    assert len({id(f.target) for f in maps}) == 6
+    assert len(recorded["windows"]) == 8
+
+
+def test_audit_drops_its_windows_when_it_returns(recorded):
+    bounds.audit(7, n_presented=6, n_sums=2, n_maps=4, n_complexes=4, N=5)
+    recorded["maps"].clear()
+    gc.collect()
+    assert recorded["windows"]
+    assert all(ref() is None for ref in recorded["windows"])
+
+
+# (instances, checks, skipped) per family at N = 6, as pinned by the fi_audit
+# benchmark workload for seeds 2025 and 7
+AUDIT_FAMILIES = {"presented": (60, 0, 0, 0), "derivatives": (0, 15, 0, 0),
+                  "maps": (0, 0, 15, 0), "complexes": (0, 0, 0, 15)}
+AUDIT_PINNED = {
+    2025: {"presented": (74, 448, 0), "derivatives": (15, 15, 0),
+           "maps": (15, 51, 6), "complexes": (15, 60, 0)},
+    7: {"presented": (74, 448, 0), "derivatives": (15, 15, 0),
+        "maps": (15, 47, 7), "complexes": (15, 58, 1)},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(AUDIT_PINNED))
+def test_audit_family_counts_pinned(seed):
+    for family, sizes in AUDIT_FAMILIES.items():
+        rep = bounds.audit(seed, *sizes, N=6)
+        assert rep.ok(), rep.violations
+        assert (rep.instances, rep.checks, rep.skipped_uncertified) \
+            == AUDIT_PINNED[seed][family], family

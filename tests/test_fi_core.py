@@ -235,14 +235,17 @@ def _window(kind: str, p: int, seed: int) -> fi_core.FIModuleWindow:
        primes, st.integers(0, 500))
 def test_cached_insertion_maps_match_permutation_route(kind, p, seed):
     # the recursion ins(m, t) = s_t ins(m, t+1) against the product over an
-    # adjacent factorization of the insertion permutation
+    # adjacent factorization of the insertion permutation; asked for from
+    # t = 0 up, each map is built afresh, and from t = m down each is one
+    # product on the last, which the window lets go of at t = 0
     M = _window(kind, p, seed)
     for m in range(M.N):
-        for t in range(m + 1):
+        for t in list(range(m + 1)) + list(range(m, -1, -1)):
             sigma = fi_core.insertion_permutation(m, t)
             want = fi_core.matrix_of_permutation(
                 M.act[m + 1], sigma, p, M.dims[m + 1]) @ M.phi[m + 1] % p
             assert (M.insertion_map(m, t) == want).all()
+        assert "ins" not in M.cache
 
 
 # direct sums, maps, sub/quotient ----------------------------------------------
@@ -398,6 +401,14 @@ def test_derivative_of_constant_is_zero():
     M = fi_core.constant_module(3, 5)
     D = fi_core.derivative(M)
     assert D.dims == [0] * 5
+
+
+def test_derivative_zero_times_leaves_the_window_alone():
+    # a window may be shared, so taking no derivative must not rename it
+    M = fi_core.random_presented(3, 5, 1, 2, 4)
+    name = M.name
+    assert fi_core.derivative(M, 0) is M
+    assert M.name == name
 
 
 def test_observed_torsion_on_torsion_module():
@@ -648,3 +659,28 @@ def test_derivative_rejects_steps_beyond_window():
         fi_core.derivative(M, 3)
     with pytest.raises(fi_core.WindowError):
         fi_core.derivative(M, -1)
+
+
+# induced windows shared through a memo ------------------------------------------
+
+
+def _same_window(A: fi_core.FIModuleWindow, B: fi_core.FIModuleWindow) -> bool:
+    return (A.p, A.N, A.dims) == (B.p, B.N, B.dims) and all(
+        (X == Y).all() for n in range(A.N + 1)
+        for X, Y in zip(A.act[n] + [A.phi[n]] * (n > 0),
+                        B.act[n] + [B.phi[n]] * (n > 0)))
+
+
+def test_random_induced_map_shared_windows_match_fresh():
+    # one memo across every call, against fresh windows, matrix for matrix
+    windows: dict = {}
+    for p, gen, rel, N, seed in itertools.product(
+            [2, 3, 5], range(3), range(4), range(7), [1, 2, 7, 2025]):
+        fresh = fi_core.random_induced_map(p, N, gen, rel, seed)
+        shared = fi_core.random_induced_map(p, N, gen, rel, seed, windows)
+        assert _same_window(fresh.source, shared.source)
+        assert _same_window(fresh.target, shared.target)
+        assert len(fresh.mats) == len(shared.mats) == N + 1
+        assert all((F == G).all() and F.shape == G.shape
+                   for F, G in zip(fresh.mats, shared.mats))
+    assert windows

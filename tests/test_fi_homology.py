@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -138,8 +139,8 @@ def test_presentation_h0_catches_bad_insertion_maps():
 
     assert fi_homology.presentation_degrees(build()) == (1, 2)
     M = build()
-    M.cache[("ins", 2)] = [np.zeros((M.dims[3], M.dims[2]), dtype=np.int64)
-                           for _ in range(3)]
+    M.cache[("cols", 2)] = [exactlin.dense_to_columns(
+        np.zeros((M.dims[3], M.dims[2]), dtype=np.int64)) for _ in range(3)]
     with pytest.raises(fi_homology.InternalConsistencyError):
         fi_homology.presentation_degrees(M)
 
@@ -174,6 +175,17 @@ def test_invariants_repeatable(seed):
     assert fi_homology.homology_table(M, 2) == fi_homology.homology_table(fresh, 2)
     assert (fi_homology.presentation_profiles(M)
             == fi_homology.presentation_profiles(fresh))
+
+
+def test_invariants_report_is_kept_and_frozen():
+    # a window shared by several callers hands each the one cached report,
+    # which none of them can change
+    M = fi_core.random_presented(3, 5, 1, 2, 9)
+    rep = fi_homology.invariants(M)
+    assert M.cache["invariants"] is rep
+    assert fi_homology.invariants(M) is rep
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.t0 = rep.t0 + 1
 
 
 def test_invariants_releases_shifted_windows(monkeypatch):
