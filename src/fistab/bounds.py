@@ -300,7 +300,7 @@ def audit(seed: int, n_presented: int = 60, n_sums: int = 15,
                    f"complex[{i}]: delta(H1) {ik.delta} > t_1 {tdeg[1]}")
         else:
             rep.skipped_uncertified += 1
-        tS = fi_homology.hyper_t_degrees(fi_homology.shift_complex(C), 1)
+        tS = fi_homology.hyper_t_degrees(C, 1, 1)
         for k_ in tdeg:
             _check(rep, tS[k_] <= tdeg[k_],
                    f"complex[{i}]: shifted t_{k_} increased")

@@ -511,6 +511,8 @@ def theoremC_check(p: int, ell: int, n: int, k: int) -> dict:
     exactlin._check_p(p)
     if ell < 2:
         raise ValueError("exponent must be at least 2 for a proper ideal")
+    if k < 0:
+        raise ValueError(f"degree k must be nonnegative, got {k}")
     if n > 3 or k > 2:
         raise ValueError("only n <= 3, k <= 2 supported")
     m, q = p ** ell, p

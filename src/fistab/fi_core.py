@@ -202,6 +202,9 @@ class FIModuleWindow:
         """
         if m + 1 > self.N:
             raise WindowError(f"insertion into level {m+1} beyond window {self.N}")
+        if not 0 <= t <= m:
+            raise ValueError(f"an injection [{m}] -> [{m + 1}] misses a point "
+                             f"in [0, {m}], not {t}")
         last = self.cache.pop("ins", None)
         if last is not None and last[:2] == (m, t + 1):
             A = exactlin.matmul_modp(self.act[m + 1][t], last[2], self.p)

@@ -38,11 +38,16 @@ columns of d_k, with support in its first comb(n, k - 1) *
 dims[n + s - k + 1] rows.  Its rank is the rank of those leading columns,
 and one left-to-right reduction of d_k (`exactlin.sparse_prefix_ranks`)
 gives it for every s at once.
+
+The hyper homology of a shifted complex Sigma^s C is read off C in the
+same way (`hyper_homology_table(C, k, s)`): its Koszul blocks are those
+leading blocks of C's modules, and its differentials are C's s levels up.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -51,8 +56,9 @@ import numpy as np
 
 from . import exactlin
 from .errors import FitError, InternalConsistencyError, WindowError
-from .fi_core import (FIModuleWindow, FIMapWindow, shift, derivative,
-                      observed_torsion, label_maps)
+from .fi_core import (FIModuleWindow, FIMapWindow, derivative,
+                      observed_torsion, label_maps,
+                      validate as validate_module)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +368,6 @@ class FIComplexWindow:
         return self.modules[j - self.jmin]
 
     def validate(self) -> list[str]:
-        from .fi_core import validate as validate_module
         bad = []
         for j in range(self.jmin, self.jmax + 1):
             for msg in validate_module(self.module(j)):
@@ -384,17 +389,6 @@ def two_term_complex(f: FIMapWindow) -> FIComplexWindow:
     S = f.source
     return FIComplexWindow(S.p, S.N, 0, 1, [f.target, f.source],
                            {1: f.mats})
-
-
-def module_as_complex(M: FIModuleWindow) -> FIComplexWindow:
-    return FIComplexWindow(M.p, M.N, 0, 0, [M], {})
-
-
-def shift_complex(C: FIComplexWindow, a: int = 1) -> FIComplexWindow:
-    mods = [shift(C.module(j), a) for j in range(C.jmin, C.jmax + 1)]
-    diffs = {j: [C.diffs[j][n + a] for n in range(C.N - a + 1)]
-             for j in C.diffs}
-    return FIComplexWindow(C.p, C.N - a, C.jmin, C.jmax, mods, diffs)
 
 
 def tensor_identity(count: int, entries, nrows: int, ncols: int):
@@ -437,40 +431,52 @@ def total_entries(blocks, horizontal, vertical, t: int):
     return rows, cols, vals, nrows, ncols
 
 
-def _hyper_double(C: FIComplexWindow, n: int):
-    """(blocks, horizontal, vertical) of the evaluation-n double complex:
-    x = Koszul degree r, y = complex degree j."""
+def _hyper_double(C: FIComplexWindow, n: int, s: int = 0):
+    """(blocks, horizontal, vertical) of the evaluation-n double complex of
+    the shift Sigma^s C, read off C (see the module docstring): x = Koszul
+    degree r, y = complex degree j."""
+    if not 0 <= s <= C.N - n:
+        raise WindowError(f"evaluation {n} of shift {s} is beyond window {C.N}")
+
     def blocks(t: int) -> list[tuple[int, int, int]]:
-        return [(t - j, j, comb(n, t - j) * C.module(j).dims[n - t + j])
+        return [(t - j, j, comb(n, t - j) * C.module(j).dims[n + s - t + j])
                 for j in range(C.jmin, C.jmax + 1) if 0 <= t - j <= n]
 
     def koszul(r: int, j: int):
-        return exactlin.column_entries(_window_columns(C.module(j), n, r))
+        M = C.module(j)
+        return exactlin.column_entries(itertools.islice(
+            _window_columns(M, n + s, r), comb(n, r) * M.dims[n + s - r]))
 
     def differential(r: int, j: int):
-        D = C.diffs[j][n - r]
+        D = C.diffs[j][n + s - r]
         ri, ci = np.nonzero(D)
         return tensor_identity(comb(n, r), (ri, ci, D[ri, ci]), *D.shape)
 
     return blocks, koszul, differential
 
 
-def hyper_boundary(C: FIComplexWindow, n: int, m: int) -> np.ndarray:
-    """Total boundary T_m -> T_{m-1} at evaluation n, dense mod p.
+def hyper_boundary(C: FIComplexWindow, n: int, m: int,
+                   s: int = 0) -> np.ndarray:
+    """Total boundary T_m -> T_{m-1} at evaluation n of the shift Sigma^s C,
+    dense mod p.
 
     T_m stacks the Koszul degree r piece of the degree-j module over all
     j + r = m, ordered by j; the complex differential carries sign (-1)^r.
     """
     return exactlin.entries_to_dense(
-        *total_entries(*_hyper_double(C, n), m), C.p)
+        *total_entries(*_hyper_double(C, n, s), m), C.p)
 
 
-def hyper_homology_table(C: FIComplexWindow, k_max: int) -> dict[int, list[int]]:
-    """table[k][n] = dim of total homology in degree k at evaluation n."""
-    table: dict[int, list[int]] = {k: [0] * (C.N + 1)
+def hyper_homology_table(C: FIComplexWindow, k_max: int,
+                         s: int = 0) -> dict[int, list[int]]:
+    """table[k][n] = dim of total homology in degree k at evaluation n of
+    the shift Sigma^s C, for every n <= N - s."""
+    if not 0 <= s <= C.N:
+        raise WindowError(f"cannot shift by {s} inside window {C.N}")
+    table: dict[int, list[int]] = {k: [0] * (C.N - s + 1)
                                    for k in range(C.jmin, k_max + 1)}
-    for n in range(C.N + 1):
-        blocks, koszul, differential = _hyper_double(C, n)
+    for n in range(C.N - s + 1):
+        blocks, koszul, differential = _hyper_double(C, n, s)
         degrees = range(C.jmin, k_max + 2)
         ranks = dict(zip(degrees, exactlin.complex_ranks(
             (total_entries(blocks, koszul, differential, t) for t in degrees),
@@ -481,8 +487,9 @@ def hyper_homology_table(C: FIComplexWindow, k_max: int) -> dict[int, list[int]]
     return table
 
 
-def hyper_t_degrees(C: FIComplexWindow, k_max: int) -> dict[int, int]:
-    table = hyper_homology_table(C, k_max)
+def hyper_t_degrees(C: FIComplexWindow, k_max: int,
+                    s: int = 0) -> dict[int, int]:
+    table = hyper_homology_table(C, k_max, s)
     return {k: degree_of_profile(v) for k, v in table.items()}
 
 
@@ -607,5 +614,5 @@ def invariants(M: FIModuleWindow) -> InvariantReport:
         _, h0 = observed_torsion(M)
         M.cache["invariants"] = InvariantReport(
             t0, t1, sd.delta, sd.certified, ld.hmax, ld.certified, h0,
-            is_semi_induced_window(M))
+            ld.hmax == -1)
     return M.cache["invariants"]

@@ -122,6 +122,8 @@ class CongruenceGroup:
 
     def __init__(self, ring: FiniteModRing, n: int):
         m, q = ring.m, ring.q
+        if n < 0:
+            raise ValueError(f"rank n must be nonnegative, got {n}")
         self.ring = ring
         self.n = n
         if n == 0:

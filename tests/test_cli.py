@@ -129,6 +129,19 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("cong theoremC --p 2 --ell 2 --n 1 --k -1", "degree k"),
+    ("cong theoremC --p 2 --ell 2 --n -1 --k 1", "rank n"),
+    ("cong group --m 4 --q 2 --n -1", "rank n"),
+    ("spb build --m 4 --q 2 --n -1", "rank n"),
+])
+def test_negative_sizes_name_the_parameter(capsys, argv, name):
+    # a negative size is refused with a message that names it
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be nonnegative, got -1\n"
+
+
 @pytest.mark.parametrize("argv", [
     "cong appB --k 1 --p 2 --N 2",
     "cong appB --k 1 --p 2 --N 1",

@@ -428,6 +428,10 @@ def test_theoremC_rejects_bad_params():
         cg.theoremC_check(2, 1, 1, 1)
     with pytest.raises(ValueError):
         cg.theoremC_check(2, 2, 4, 1)
+    with pytest.raises(ValueError, match="degree k must be nonnegative"):
+        cg.theoremC_check(2, 2, 1, -1)
+    with pytest.raises(ValueError, match="rank n must be nonnegative"):
+        cg.theoremC_check(2, 2, -1, 1)
 
 
 # full reports of application_b_empirical(k, p, N), measured with every

@@ -248,6 +248,17 @@ def test_cached_insertion_maps_match_permutation_route(kind, p, seed):
         assert "ins" not in M.cache
 
 
+def test_insertion_map_rejects_points_outside_the_level():
+    # an injection [m] -> [m+1] misses one of 0..m
+    M = fi_core.free_module(3, 1, 4)
+    held = M.insertion_map(2, 2)
+    for t in (-1, 3, 5):
+        with pytest.raises(ValueError):
+            M.insertion_map(2, t)
+    # the refusal leaves the last map held for the next step down
+    assert M.cache["ins"][:2] == (2, 2) and M.cache["ins"][2] is held
+
+
 # direct sums, maps, sub/quotient ----------------------------------------------
 
 

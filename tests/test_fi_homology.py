@@ -284,7 +284,7 @@ def test_fit_error_when_profile_not_polynomial():
 
 def test_module_as_complex_matches_plain_homology():
     M = fi_core.random_presented(3, 6, 1, 2, 17)
-    C = fi_homology.module_as_complex(M)
+    C = fi_homology.FIComplexWindow(M.p, M.N, 0, 0, [M], {})
     table = fi_homology.hyper_homology_table(C, 2)
     plain = fi_homology.homology_table(M, 2)
     for k in range(3):
@@ -311,7 +311,7 @@ def test_shift_monotone_t_degrees(p, seed):
     f = fi_core.random_induced_map(p, 6, 1 + seed % 2, 2, seed)
     C = fi_homology.two_term_complex(f)
     t = fi_homology.hyper_t_degrees(C, 1)
-    tS = fi_homology.hyper_t_degrees(fi_homology.shift_complex(C), 1)
+    tS = fi_homology.hyper_t_degrees(C, 1, s=1)
     for k in t:
         assert tS[k] <= t[k]
 
@@ -480,24 +480,36 @@ def test_relation_map_is_doubled_koszul_d2(p, kind, seed):
             assert np.array_equal(D[:, c * w2:(c + 1) * w2], expect)
 
 
+def built_shift(C, s):
+    """Sigma^s C built as a new complex: each module shifted, and each
+    differential at level n taken from level n + s."""
+    mods = [fi_core.shift(C.module(j), s) for j in range(C.jmin, C.jmax + 1)]
+    diffs = {j: [C.diffs[j][n + s] for n in range(C.N - s + 1)]
+             for j in C.diffs}
+    return fi_homology.FIComplexWindow(C.p, C.N - s, C.jmin, C.jmax, mods,
+                                       diffs)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from([2, 3]), st.booleans(), st.integers(0, 500))
 def test_hyper_matches_dense_oracle(p, shifted, seed):
+    # the shifted case reads Sigma C off C and compares it with the oracle
+    # of the built shift
     f = fi_core.random_induced_map(p, 5, 1 + seed % 2, 2 + seed % 2, seed)
     C = fi_homology.two_term_complex(f)
-    if shifted:
-        C = fi_homology.shift_complex(C)
+    s = int(shifted)
+    B = built_shift(C, s)
     k_max = 2
-    want = {k: [0] * (C.N + 1) for k in range(C.jmin, k_max + 1)}
-    for n in range(C.N + 1):
+    want = {k: [0] * (B.N + 1) for k in range(B.jmin, k_max + 1)}
+    for n in range(B.N + 1):
         dims, ranks = {}, {}
-        for m in range(C.jmin, k_max + 2):
-            D = oracle_hyper_boundary(C, n, m)
-            assert np.array_equal(fi_homology.hyper_boundary(C, n, m), D)
+        for m in range(B.jmin, k_max + 2):
+            D = oracle_hyper_boundary(B, n, m)
+            assert np.array_equal(fi_homology.hyper_boundary(C, n, m, s), D)
             dims[m], ranks[m] = D.shape[1], exactlin.rank_modp(D, p)
-        for k in range(C.jmin, k_max + 1):
+        for k in range(B.jmin, k_max + 1):
             want[k][n] = dims[k] - ranks[k] - ranks[k + 1]
-    assert fi_homology.hyper_homology_table(C, k_max) == want
+    assert fi_homology.hyper_homology_table(C, k_max, s) == want
 
 
 # shifts read off the parent window's Koszul reductions -------------------------
@@ -520,6 +532,25 @@ def test_shift_homology_matches_built_shift(p, kind, seed):
         fi_homology.homology_at(M, 1, 0, M.N)
     with pytest.raises(fi_core.WindowError):
         fi_homology.homology_at(M, 0, 0, -1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(primes, st.integers(0, 500))
+def test_shift_hyper_homology_matches_built_shift(p, seed):
+    # Sigma^s C is read off C's Koszul columns and differentials; building
+    # it module by module gives the same table
+    f = fi_core.random_induced_map(p, 5, 1 + seed % 2, 2 + seed % 2, seed)
+    C = fi_homology.two_term_complex(f)
+    for s in (1, 2):
+        B = built_shift(C, s)
+        assert B.validate() == []
+        assert (fi_homology.hyper_homology_table(C, 2, s)
+                == fi_homology.hyper_homology_table(B, 2))
+    for s in (-1, C.N + 1):
+        with pytest.raises(fi_core.WindowError):
+            fi_homology.hyper_homology_table(C, 2, s)
+    with pytest.raises(fi_core.WindowError):
+        fi_homology.hyper_boundary(C, 1, 1, C.N)
 
 
 # invariant report fields in asdict order, then the stable degree's shift
