@@ -6,14 +6,16 @@ products go through `matmul_modp`: as float64 on BLAS while k * (p-1)**2
 < 2**53 for the inner dimension k, the range in which float64 sums the
 integer products exactly in any order (small products stay in int64
 there), and in Python ints beyond it.  The integer Smith normal form
-uses arbitrary-precision Python ints.  The two heavy paths are a
-vectorized dense elimination mod p and one sparse reduction for large
-boundary matrices, which can report the rank of each of several leading
-blocks of columns (`sparse_prefix_ranks`).  It reduces packed vectors,
-one Python int each: bitsets over GF(2), and at p = 3 (`_PACKED_PMAX`)
-the rows of a wide boundary, each residue in a 3-bit field, so that one
-step is a few word-parallel integer operations.  Other odd-p vectors are
-dicts.  Every assembled sparse matrix is given by its entry arrays
+uses arbitrary-precision Python ints.  The two heavy paths are a dense
+elimination mod p (`rref_modp`, `rank_modp`) and one sparse reduction
+for large boundary matrices, which can report the rank of each of
+several leading blocks of columns (`sparse_prefix_ranks`).  Both reduce
+packed vectors, one Python int each, at p <= 3 (`_PACKED_PMAX`):
+bitsets over GF(2), and at p = 3 the rows of a dense matrix, one residue
+per byte, and of a wide boundary, one per 3-bit field, so that one step
+is a few word-parallel integer operations.  At larger p the dense
+elimination is a numpy loop over the columns, and the sparse vectors
+are dicts.  Every assembled sparse matrix is given by its entry arrays
 (rows, cols, vals), and `complex_ranks` alone ranks them: it checks the
 indices, takes the shorter side, sums coincident entries and hands each
 vector's run to the kernel of its field, in the order measured fastest
@@ -111,8 +113,22 @@ def matmul_modp(A, B, p: int) -> np.ndarray:
 
 
 def rref_modp(A, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p.  Returns (R, pivot_columns)."""
+    """Reduced row echelon form mod p.  Returns (R, pivot_columns).
+
+    At p <= _PACKED_PMAX the rows are packed into ints (`_pack_dense`),
+    reduced by the kernel of their field and back-substituted
+    (`_rref_packed`); at larger p it is the numpy column loop
+    `_rref_columns`.
+    """
     _check_p(p)
+    if p > _PACKED_PMAX:
+        return _rref_columns(A, p)
+    return _rref_packed(asmod(A, p), p)
+
+
+def _rref_columns(A, p: int) -> tuple[np.ndarray, list[int]]:
+    """`rref_modp` one column at a time, at any p: each pivot is scaled
+    to 1 and cleared from every other row by numpy."""
     R = asmod(A, p).copy()
     m, n = R.shape
     pivots: list[int] = []
@@ -138,12 +154,19 @@ def rref_modp(A, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank_modp(A, p: int) -> int:
+    """Rank of A over F_p: over F_2 `rank_gf2_dense`, at odd p <=
+    _PACKED_PMAX the forward pass of `rref_modp` alone, and at larger p
+    the number of pivots of the column loop."""
+    _check_p(p)
     A = asmod(A, p)
-    if min(A.shape) == 0:
+    if not A.size:
         return 0
-    if p == 2 and A.shape[0] * A.shape[1] > 1 << 22:
+    if p == 2:
         return rank_gf2_dense(A)
-    return len(rref_modp(A, p)[1])
+    if p <= _PACKED_PMAX:
+        return len(_packed_modp_reduce(_pack_dense(A, p), A.shape[1], p,
+                                       _DENSE_WIDTH))
+    return len(_rref_columns(A, p)[1])
 
 
 def nullity_modp(A, p: int) -> int:
@@ -388,7 +411,7 @@ def _reduce_entries(rows, cols, vals, nrows: int, ncols: int, p: int,
         if p == 2:
             (rank,), pivots = _gf2_reduce(runs, length, _ALL)
         else:
-            pivots = _packed_modp_reduce(runs, length, p)
+            pivots = _packed_modp_reduce(runs, length, p, _field_width(p))
             rank = len(pivots)
     else:
         starts, key, vals = starts.tolist(), key.tolist(), vals.tolist()
@@ -582,15 +605,19 @@ def _gf2_reduce(M, ncols: int, counts):
 
 
 # The odd primes whose wide boundaries `_reduce_entries` reduces as packed
-# rows; the rest go to the dict kernel.  A packed step costs the whole row
-# width, a dict step the entries it touches, and a packed pivot holds
-# (p-1)/2 multiples.  Measured on a 2-core Xeon (bar_homology_from_table,
-# best of 5, packed against dicts): at p = 3 H_2((Z/3)^3) 0.029 against
-# 0.115 s, H_3((Z/3)^2) 0.010 against 0.027 s and H_8(Z/3) 0.151 against
-# 0.189 s, the one loss H_4(Z/9) at 0.51 against 0.45 s; at p = 5 and 7
-# the sparse cyclic bars lost (H_5(Z/5) 0.152 against 0.101 s, H_4(Z/7)
-# 0.149 against 0.123 s), and more so at 11 and 13 (H_3(Z/13) 0.68
-# against 0.16 s).  p = 3 is the one odd prime of the congruence workloads.
+# rows, and whose dense matrices `rref_modp` and `rank_modp` reduce so;
+# the rest go to the dict kernel and the numpy column loop.  A packed step
+# costs the whole row width, a dict step the entries it touches, and a
+# packed pivot holds (p-1)/2 multiples.  Measured on a 2-core Xeon
+# (bar_homology_from_table, best of 5, packed against dicts): at p = 3
+# H_2((Z/3)^3) 0.029 against 0.115 s, H_3((Z/3)^2) 0.010 against 0.027 s
+# and H_8(Z/3) 0.151 against 0.189 s, the one loss H_4(Z/9) at 0.51
+# against 0.45 s; at p = 5 and 7 the sparse cyclic bars lost (H_5(Z/5)
+# 0.152 against 0.101 s, H_4(Z/7) 0.149 against 0.123 s), and more so at
+# 11 and 13 (H_3(Z/13) 0.68 against 0.16 s).  On dense matrices the
+# packed rows beat the column loop at p = 3 (a 500 x 500 matrix of rank
+# 500, 0.33 against 0.71 s) and lost 10 to 20 times at p = 65537.  p = 3
+# is the one odd prime of the congruence workloads.
 _PACKED_PMAX = 3
 
 
@@ -602,24 +629,22 @@ def _field_width(p: int) -> int:
     return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
-def _packed_modp_reduce(rows, ncols: int, p: int) -> dict[int, tuple]:
-    """The pivot table of the rows, each an int of `ncols` fields of
-    `_field_width(p)` bits (`_pack_runs`) holding residues mod an odd p.
+def _packed_modp_reduce(rows, ncols: int, p: int, w: int) -> dict[int, tuple]:
+    """The pivot table of the rows, each an int of `ncols` fields of w
+    bits holding residues mod an odd p, with w at least `_field_width(p)`.
 
     As in `_modp_reduce`, each row is reduced against the pivots, keyed
     on its highest nonzero field, until it is zero or has a new key.  A
     pivot y with leading coefficient c is stored as (1/c, y, 2y, ...,
-    h*y), h = (p-1)/2, so that x - g*y is one add of (p-g)*y when g > h,
-    or of p - g*y in every field when g <= h.  Either way every field of
-    the sum is below 2p, and one word-parallel step reduces it: adding
-    2**(w-1) - p to every field sets its guard bit exactly where the
-    field is at least p, and p times the guard bits, shifted down, is
-    taken off.  Once the rank reaches ncols no row is read.
+    h*y), h = (p-1)/2 (`_pivot_multiples`), so that x - g*y is one add of
+    (p-g)*y when g > h, or of p - g*y in every field when g <= h.  Either
+    way every field of the sum is below 2p, and one word-parallel step
+    reduces it: adding 2**(w-1) - p to every field sets its guard bit
+    exactly where the field is at least p, and p times the guard bits,
+    shifted down, is taken off.  Once the rank reaches ncols no row is
+    read.
     """
-    w = _field_width(p)
-    half = (p - 1) // 2
-    ones = ((1 << ncols * w) - 1) // ((1 << w) - 1)    # 1 in every field
-    lift, guard, full = ((1 << w - 1) - p) * ones, ones << w - 1, p * ones
+    half, lift, guard, full = _packed_constants(ncols, p, w)
     pivots: dict[int, tuple] = {}
     for x in rows:
         # every step lowers the key, so no row takes more than ncols
@@ -629,11 +654,8 @@ def _packed_modp_reduce(rows, ncols: int, p: int) -> dict[int, tuple]:
             key = (x.bit_length() - 1) // w
             y = pivots.get(key)
             if y is None:
-                multiples = [pow(x >> key * w, -1, p), x]
-                for _ in range(half - 1):
-                    m = multiples[-1] + x
-                    multiples.append(m - (((m + lift) & guard) >> w - 1) * p)
-                pivots[key] = tuple(multiples)
+                pivots[key] = _pivot_multiples(x, pow(x >> key * w, -1, p),
+                                               p, w, lift, guard)
                 break
             g = (x >> key * w) * y[0] % p    # x - g*y has no field at key
             if g > half:
@@ -649,12 +671,107 @@ def _packed_modp_reduce(rows, ncols: int, p: int) -> dict[int, tuple]:
     return pivots
 
 
+def _packed_constants(ncols: int, p: int, w: int) -> tuple[int, ...]:
+    """(h, lift, guard, full) of `_packed_modp_reduce`: h = (p-1)/2, and
+    2**(w-1) - p, the guard bit and p in each of the ncols fields."""
+    ones = ((1 << ncols * w) - 1) // ((1 << w) - 1)    # 1 in every field
+    return (p - 1) // 2, ((1 << w - 1) - p) * ones, ones << w - 1, p * ones
+
+
+def _pivot_multiples(x: int, inv: int, p: int, w: int, lift: int,
+                     guard: int) -> tuple:
+    """(inv, x, 2x, ..., h*x), h = (p-1)/2, each multiple reduced mod p
+    field by field with the `_packed_constants` lift and guard: the pivot
+    entry of `_packed_modp_reduce`."""
+    multiples = [inv, x]
+    for _ in range((p - 1) // 2 - 1):
+        m = multiples[-1] + x
+        multiples.append(m - (((m + lift) & guard) >> w - 1) * p)
+    return tuple(multiples)
+
+
+# Bits per field of a dense matrix packed mod an odd p: one byte, so the
+# rows are read off the bytes of the matrix, with room for the guard bit
+# of every p < 2**7.
+_DENSE_WIDTH = 8
+
+
+def _pack_dense(A: np.ndarray, p: int) -> list[int]:
+    """The rows of A, entries in [0, p), p <= _PACKED_PMAX, one int each:
+    column c in field n-1-c, so that the highest field is the leftmost
+    column; a field is a bit over F_2 (`np.packbits`) and a byte
+    otherwise."""
+    m, n = A.shape
+    flipped = A[:, ::-1]
+    if p == 2:
+        data = np.packbits(flipped, axis=1, bitorder="little").tobytes()
+        width = -(-n // 8)
+    else:
+        data, width = flipped.astype(np.uint8).tobytes(), n
+    data = memoryview(data)
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(m)]
+
+
+def _rref_packed(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`rref_modp` of A, entries in [0, p), p <= _PACKED_PMAX, on packed
+    rows (`_pack_dense`).
+
+    The forward pass is `_gf2_reduce` or `_packed_modp_reduce`; its
+    pivot rows, keyed on their highest field, are echelon but not
+    reduced.  They are then back-substituted from the rightmost pivot
+    column to the leftmost: the fields of a row at the keys already done
+    (`x & done`) are each cleared by one step against the reduced pivot
+    row of that key, which is zero at every other key done.  At odd p a
+    pivot row keeps its leading coefficient c, and its unpacked row is
+    scaled by 1/c.
+    """
+    m, n = A.shape
+    rows = _pack_dense(A, p)
+    done = 0
+    if p == 2:
+        table = _gf2_reduce(rows, n, _ALL)[1]
+        for k in sorted(table):
+            x = table[k]
+            while hit := x & done:
+                x ^= table[hit.bit_length() - 1]
+            table[k] = x
+            done |= 1 << k
+    else:
+        w = _DENSE_WIDTH
+        table = _packed_modp_reduce(rows, n, p, w)
+        half, lift, guard, full = _packed_constants(n, p, w)
+        field = (1 << w) - 1
+        for k in sorted(table):
+            inv, x = table[k][:2]
+            while hit := x & done:
+                j = (hit.bit_length() - 1) // w
+                y = table[j]
+                g = (x >> j * w & field) * y[0] % p
+                x += y[p - g] if g > half else full - y[g]
+                x -= (((x + lift) & guard) >> w - 1) * p
+            table[k] = _pivot_multiples(x, inv, p, w, lift, guard)
+            done |= field << k * w
+    keys = sorted(table, reverse=True)    # the leftmost pivot column first
+    R = np.zeros((m, n), dtype=np.int64)
+    if p == 2:
+        width = -(-n // 8)
+        data = b"".join(table[k].to_bytes(width, "little") for k in keys)
+        R[:len(keys)] = np.unpackbits(
+            np.frombuffer(data, dtype=np.uint8).reshape(len(keys), width),
+            axis=1, count=n, bitorder="little")[:, ::-1]
+    else:
+        data = b"".join(table[k][1].to_bytes(n, "little") for k in keys)
+        inv = np.array([table[k][0] for k in keys], dtype=np.int64)
+        R[:len(keys)] = (np.frombuffer(data, dtype=np.uint8)
+                         .reshape(len(keys), n)[:, ::-1] * inv[:, None] % p)
+    return R, [n - 1 - k for k in keys]
+
+
 def rank_gf2_dense(A) -> int:
     """Rank over GF(2) of a dense matrix, its rows packed by np.packbits."""
-    A = np.asarray(A, dtype=np.int64) % 2
-    rows = np.packbits(A.astype(np.uint8), axis=1, bitorder="little")
-    return rank_gf2_packed([int.from_bytes(r.tobytes(), "little") for r in rows],
-                           A.shape[1])
+    A = asmod(A, 2)
+    return rank_gf2_packed(_pack_dense(A, 2), A.shape[1])
 
 
 # ---------------------------------------------------------------------------

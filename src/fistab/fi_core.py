@@ -809,21 +809,34 @@ def random_induced_map(p: int, N: int, gen_deg: int, rel_deg: int,
     img = rng.integers(0, p, size=len(gens))
     # the target is induced from trivial representations, so sigma only
     # relabels: the basis vector (sub, sigma) of the source sends the
-    # entry (B, v) of img to (sub o sigma)(B), v
+    # entry (B, v) of img to (sub o sigma)(B), v.  A subset of [n] is read
+    # as its bit mask, and (A, v) as the code mask(A) * width + v, which
+    # is found among the codes of the target basis.
     terms = [(B, v, int(c)) for (B, v), c in zip(gens, img) if c]
-    perms = list(itertools.permutations(range(rel_deg)))
+    perms = np.array(list(itertools.permutations(range(rel_deg))),
+                     dtype=np.int64)
+    member = np.zeros((rel_deg, len(terms)), dtype=np.int64)
+    for t, (B, _, _) in enumerate(terms):
+        member[list(B), t] = 1
+    width = max(V.dims)
+    shift = np.array([v for _, v, _ in terms], dtype=np.int64)
+    coef = np.array([c for _, _, c in terms], dtype=np.int64)
     mats = []
     for n in range(N + 1):
-        index = {key: r for r, key in enumerate(induced_basis(V, n))}
-        rows, cols, vals = [], [], []
-        for col, (sub, k) in enumerate(induced_basis(W, n)):
-            for B, v, c in terms:
-                rows.append(index[(tuple(sorted(sub[perms[k][x]] for x in B)),
-                                   v)])
-                cols.append(col)
-                vals.append(c)
+        # Python ints once a code may pass int64
+        kind = np.int64 if n + width.bit_length() < 63 else object
+        codes = np.array([sum(1 << a for a in A) * width + v
+                          for A, v in induced_basis(V, n)], dtype=kind)
+        order = np.argsort(codes)
+        subs = list(itertools.combinations(range(n), rel_deg))
+        subs = np.array(subs, dtype=kind).reshape(len(subs), rel_deg)
+        # image[c, k, t]: the code of term t under the source basis
+        # vector (subs[c], perms[k]), column c * len(perms) + k
+        image = (1 << subs[:, perms]) @ member * width + shift
+        rows = order[np.searchsorted(codes, image, sorter=order)]
+        cols = np.arange(src.dims[n]).reshape(len(subs), len(perms), 1)
         F = np.zeros((tgt.dims[n], src.dims[n]), dtype=np.int64)
-        F[rows, cols] = vals
+        F[rows, cols] = coef
         mats.append(F)
     return FIMapWindow(src, tgt, mats)
 

@@ -756,6 +756,8 @@ def verify_charney(m: int, q: int, n: int, d: int | None = None) -> dict:
     """Acyclicity in the stable range: reduced homology vanishes in every
     degree j with n >= 2j + d + 3 (d the stable range parameter of the
     ring, zero for these finite quotients unless overridden)."""
+    if n < 0:
+        raise ValueError(f"rank n must be nonnegative, got {n}")
     ring = FiniteModRing(m, q)
     d = ring.dimension if d is None else d
     jmax = (n - d - 3) // 2

@@ -134,6 +134,7 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
     ("cong theoremC --p 2 --ell 2 --n -1 --k 1", "rank n"),
     ("cong group --m 4 --q 2 --n -1", "rank n"),
     ("spb build --m 4 --q 2 --n -1", "rank n"),
+    ("verify charney --m 4 --q 2 --n -1", "rank n"),
 ])
 def test_negative_sizes_name_the_parameter(capsys, argv, name):
     # a negative size is refused with a message that names it

@@ -5,7 +5,9 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from sympy import GF, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from fistab import exactlin
 from snf_scan import snf_scan_oracle
@@ -35,6 +37,12 @@ def rank_oracle(A, p):
         rank += 1
         col += 1
     return rank
+
+
+def column_loop_rank(A, p):
+    """Rank by the numpy column loop of `rref_modp`, called directly, so
+    that at p <= 3 it shares no kernel with the packed rows."""
+    return len(exactlin._rref_columns(A, p)[1])
 
 
 def snf_oracle(A):
@@ -131,6 +139,56 @@ def test_colspace_projection_section(A, p):
     assert proj.shape == (q, A.shape[0])
     assert not (proj @ A % p).any()
     assert (proj[:, free] % p == np.eye(q, dtype=np.int64) % p).all()
+
+
+@st.composite
+def rref_cases(draw):
+    """(p, A): an integer matrix with negative and unreduced entries, in
+    empty, tall, wide and square shapes, of rank at most a drawn r, so
+    that most are rank-deficient."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    short, long = draw(st.integers(0, 6)), draw(st.integers(0, 14))
+    m, n = draw(st.sampled_from([(long, short), (short, long), (short, short),
+                                 (0, long), (long, 0)]))
+    r = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(-p, 2 * p, size=(m, r)) @ rng.integers(-p, 2 * p,
+                                                            size=(r, n))
+    return p, A + p * rng.integers(-2, 3, size=(m, n))
+
+
+@pytest.mark.parametrize("route", ["as shipped", "packed up to 7"])
+@settings(max_examples=150, deadline=None)
+@given(case=rref_cases())
+@example(case=(2, np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]])))
+@example(case=(3, np.array([[1, 2, 0], [0, -1, 2], [0, 0, 4]])))
+@example(case=(5, np.array([[2, 1, 3], [0, 3, 6], [0, 0, 1]])))
+def test_rref_matches_sympy(route, case):
+    # R and the pivots entry for entry; "packed up to 7" also sends p = 5
+    # and 7 through the packed rows, whose pivots then hold more multiples
+    p, A = case
+    m, n = A.shape
+    M = DomainMatrix([[ZZ(int(x)) for x in row] for row in A], (m, n), ZZ)
+    want, want_pivots = M.convert_to(GF(p)).rref()
+    with mock.patch.object(exactlin, "_PACKED_PMAX", 7 if route ==
+                           "packed up to 7" else exactlin._PACKED_PMAX):
+        R, pivots = exactlin.rref_modp(A, p)
+    assert pivots == list(want_pivots)
+    assert R.dtype == np.int64
+    assert R.tolist() == [[int(x) % p for x in row] for row in want.to_list()]
+
+
+@pytest.mark.parametrize("p", [5, 65537])
+def test_rref_above_packed_pmax_runs_the_column_loop(monkeypatch, p):
+    def refuse(*args):
+        raise AssertionError("packed rows used above _PACKED_PMAX")
+
+    for name in ("_rref_packed", "_packed_modp_reduce", "_pack_dense"):
+        monkeypatch.setattr(exactlin, name, refuse)
+    A = np.array([[1, 2, 3], [2, 4, 7]])
+    R, pivots = exactlin.rref_modp(A, p)
+    assert pivots == [0, 2] and exactlin.rank_modp(A, p) == 2
+    assert R.tolist() == [[1, 2, 0], [0, 0, 1]]
 
 
 # dense products -------------------------------------------------------------
@@ -443,7 +501,7 @@ def test_entry_rank_matches_oracle(case):
     p, rows, cols, vals, nrows, ncols, A = case
     want = rank_oracle(A, p)
     assert exactlin.entry_rank(rows, cols, vals, nrows, ncols, p) == want
-    assert want == (len(exactlin.rref_modp(A, p)[1]) if A.size else 0)
+    assert want == column_loop_rank(A, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -502,7 +560,7 @@ def test_complex_ranks_match_entry_rank_and_rref(case):
     p, boundaries, dense = case
     for D, E in zip(dense, dense[1:]):
         assert not exactlin.matmul_modp(D, E, p).any()
-    want = [len(exactlin.rref_modp(D, p)[1]) if D.size else 0 for D in dense]
+    want = [column_loop_rank(D, p) for D in dense]
     assert [exactlin.entry_rank(*b, p) for b in boundaries] == want
     assert exactlin.complex_ranks(boundaries, p) == want
     assert exactlin.complex_ranks(iter(boundaries), p) == want
@@ -522,7 +580,7 @@ def test_complex_ranks_reject_boundaries_that_do_not_compose():
         exactlin.complex_ranks([(*empty, 2, 3), (*empty, 4, 5)], 3)
 
 
-# packed odd-p rows: int fields of w bits, against rref_modp and the dicts --
+# packed odd-p rows: int fields of w bits, against the column loop and dicts
 
 
 PACKED_PS = [3, 5, 7]     # the packed kernel, forced on for 5 and 7
@@ -560,7 +618,7 @@ def wide_complex_cases(draw):
 @given(wide_complex_cases())
 def test_packed_odd_p_ranks_match_rref_with_clearing(case):
     p, boundaries, dense, pack_bytes = case
-    want = [len(exactlin.rref_modp(D, p)[1]) for D in dense]
+    want = [column_loop_rank(D, p) for D in dense]
     pmax = p if p in PACKED_PS else exactlin._PACKED_PMAX
     with mock.patch.object(exactlin, "_PACKED_PMAX", pmax), \
             mock.patch.object(exactlin, "_PACK_BYTES", pack_bytes):
@@ -571,13 +629,16 @@ def test_packed_odd_p_ranks_match_rref_with_clearing(case):
 @st.composite
 def packed_runs(draw):
     """(p, sparse vectors as index -> residue dicts, their length, a
-    packing buffer size): each index once, values in [1, p)."""
+    packing buffer size, a field width): each index once, values in
+    [1, p); the width is the narrowest for p or the byte of dense rows."""
     p = draw(st.sampled_from(PACKED_PS + [DICT_P]))
     length = draw(st.integers(1, 90))
     vectors = draw(st.lists(st.dictionaries(
         st.integers(0, length - 1), st.integers(1, p - 1),
         max_size=draw(st.sampled_from([3, length]))), max_size=24))
-    return p, vectors, length, draw(st.sampled_from([1, 5, 64, 1 << 20]))
+    return (p, vectors, length, draw(st.sampled_from([1, 5, 64, 1 << 20])),
+            draw(st.sampled_from([exactlin._field_width(p),
+                                  exactlin._DENSE_WIDTH])))
 
 
 @settings(max_examples=300, deadline=None)
@@ -585,12 +646,11 @@ def packed_runs(draw):
 def test_packed_and_dict_kernels_agree_on_rank_and_pivot_keys(case):
     # complex_ranks clears the next boundary's rows by these keys, so the
     # two kernels must name the same ones, not only count them alike
-    p, vectors, length, pack_bytes = case
+    p, vectors, length, pack_bytes, w = case
     runs = [sorted(v.items()) for v in vectors]
     idx = np.array([i for run in runs for i, _ in run], dtype=np.int64)
     vals = np.array([v for run in runs for _, v in run], dtype=np.int64)
     starts = np.cumsum([0] + [len(run) for run in runs])
-    w = exactlin._field_width(p)
     with mock.patch.object(exactlin, "_PACK_BYTES", pack_bytes):
         packed = list(exactlin._pack_runs(idx, starts, length, vals, w))
     assert len(packed) == len(vectors)
@@ -598,7 +658,7 @@ def test_packed_and_dict_kernels_agree_on_rank_and_pivot_keys(case):
         assert x >> length * w == 0
         assert {i: x >> i * w & (1 << w) - 1 for i in range(length)} \
             == {i: v.get(i, 0) for i in range(length)}
-    keys = exactlin._packed_modp_reduce(packed, length, p)
+    keys = exactlin._packed_modp_reduce(packed, length, p, w)
     (rank,), pivots = exactlin._modp_reduce(vectors, length, p,
                                             exactlin._ALL)
     assert sorted(keys) == sorted(pivots)

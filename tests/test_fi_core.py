@@ -695,3 +695,52 @@ def test_random_induced_map_shared_windows_match_fresh():
         assert all((F == G).all() and F.shape == G.shape
                    for F, G in zip(fresh.mats, shared.mats))
     assert windows
+
+
+def oracle_induced_map_mats(p, N, gen_deg, rel_deg, seed):
+    """The matrices of `random_induced_map`, from the same draws, filled
+    one source column and one term at a time."""
+    rng = np.random.default_rng(seed)
+    js = tuple(j for j in range(gen_deg) if rng.integers(0, 2))
+    V = fi_core.fb_direct_sum(fi_core.fb_trivial(p, gen_deg),
+                              *(fi_core.fb_trivial(p, j) for j in js))
+    W = fi_core.fb_regular(p, rel_deg)
+    gens = fi_core.induced_basis(V, rel_deg)
+    img = rng.integers(0, p, size=len(gens))
+    terms = [(B, v, int(c)) for (B, v), c in zip(gens, img) if c]
+    perms = list(itertools.permutations(range(rel_deg)))
+    mats = []
+    for n in range(N + 1):
+        target = fi_core.induced_basis(V, n)
+        index = {key: r for r, key in enumerate(target)}
+        source = fi_core.induced_basis(W, n)
+        F = np.zeros((len(target), len(source)), dtype=np.int64)
+        for col, (sub, k) in enumerate(source):
+            for B, v, c in terms:
+                F[index[(tuple(sorted(sub[perms[k][x]] for x in B)), v)],
+                  col] = c
+        mats.append(F)
+    return mats
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("gen, rel", [(1, 2), (2, 3), (0, 0), (2, 0),
+                                      (0, 1), (3, 1), (1, 4)])
+def test_random_induced_map_matches_column_loop(p, gen, rel):
+    # the index-array matrices equal the loop's byte for byte
+    for N, seed in itertools.product(range(7), [0, 1, 7, 2025, 31337]):
+        f = fi_core.random_induced_map(p, N, gen, rel, seed)
+        want = oracle_induced_map_mats(p, N, gen, rel, seed)
+        assert len(f.mats) == len(want) == N + 1
+        for F, G in zip(f.mats, want):
+            assert F.dtype == G.dtype and F.shape == G.shape
+            assert F.tobytes() == G.tobytes()
+
+
+def test_random_induced_map_matches_column_loop_past_63_points():
+    # a subset of [n] for n > 62 has no int64 bit mask
+    f = fi_core.random_induced_map(3, 66, 1, 1, 5)
+    want = oracle_induced_map_mats(3, 66, 1, 1, 5)
+    assert any(F.any() for F in f.mats[64:])
+    assert all(F.dtype == G.dtype and F.tobytes() == G.tobytes()
+               for F, G in zip(f.mats, want))

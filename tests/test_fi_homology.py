@@ -352,6 +352,12 @@ def colex(n, k):
     return sorted(itertools.combinations(range(n), k), key=lambda R: R[::-1])
 
 
+def column_loop_rank(D, p):
+    """Rank by the numpy column loop of `rref_modp`, called directly, so
+    that at p <= 3 it shares no kernel with the packed Koszul ranks."""
+    return len(exactlin._rref_columns(D, p)[1])
+
+
 def oracle_koszul_boundary(M, n, k):
     """Dense block assembly of C_k -> C_{k-1}, subsets in colex order: the
     face removing the j-th smallest r of R is the insertion map missing
@@ -426,7 +432,7 @@ def test_koszul_matches_dense_oracle(p, kind, seed):
         for k in range(n + 2):
             D = oracle_koszul_boundary(M, n, k)
             assert np.array_equal(fi_homology.koszul_boundary(M, n, k), D)
-            assert fi_homology.koszul_rank(M, n, k) == exactlin.rank_modp(D, p)
+            assert fi_homology.koszul_rank(M, n, k) == column_loop_rank(D, p)
 
 
 @settings(max_examples=20, deadline=None)
@@ -506,7 +512,7 @@ def test_hyper_matches_dense_oracle(p, shifted, seed):
         for m in range(B.jmin, k_max + 2):
             D = oracle_hyper_boundary(B, n, m)
             assert np.array_equal(fi_homology.hyper_boundary(C, n, m, s), D)
-            dims[m], ranks[m] = D.shape[1], exactlin.rank_modp(D, p)
+            dims[m], ranks[m] = D.shape[1], column_loop_rank(D, p)
         for k in range(B.jmin, k_max + 1):
             want[k][n] = dims[k] - ranks[k] - ranks[k + 1]
     assert fi_homology.hyper_homology_table(C, k_max, s) == want
