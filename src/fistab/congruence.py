@@ -6,6 +6,13 @@ n -> GL_n(Z/p^2, p), equivariant homology of a group action on a
 simplicial complex via the augmented chain complex, and the numerical
 cross-check equating hyper FI-homology of the bar complexes with the
 equivariant homology of the split-basis complex.
+
+Every bar complex here is the normalized one, built by `_bar_faces`:
+its j-cells are the j-tuples of elements other than the identity, and
+a face that would hold the identity is zero.  It is the quotient of the
+full bar complex by an acyclic subcomplex, so the homology is the same
+on ((|G| - 1)/|G|)^j as many cells (Brown, *Cohomology of Groups*, I.5;
+Mac Lane, *Homology*, IV.5).
 """
 
 from __future__ import annotations
@@ -100,63 +107,108 @@ def _cyclic_table(q: int) -> np.ndarray:
     return (a[:, None] + a[None, :]) % q
 
 
+def _identity_of(table: np.ndarray) -> int:
+    """The two-sided identity e of a multiplication table, which must be
+    square with every entry in [0, |G|); ValueError names what fails."""
+    table = np.asarray(table)
+    order = len(table)
+    if table.shape != (order, order):
+        raise ValueError(f"multiplication table of shape {table.shape} is "
+                         f"not square")
+    if table.size and (table.min() < 0 or table.max() >= order):
+        raise ValueError(f"multiplication table has an entry outside "
+                         f"[0, {order})")
+    every = np.arange(order)
+    e = np.flatnonzero((table == every).all(axis=1)
+                       & (table == every[:, None]).all(axis=0))
+    if not e.size:
+        raise ValueError("multiplication table has no two-sided identity")
+    return int(e[0])
+
+
 def _bar_faces(table: np.ndarray, j: int, action=None, nb: int = 1
                ) -> tuple[np.ndarray, np.ndarray]:
-    """The bar boundary from degree j >= 1 as (faces, signs): row
-    n * nb + c is the cell (g_1, ..., g_j) x c, c < nb, its tuple encoded
-    base |G| (g_1 most significant) as n, and faces[n * nb + c, i] is the
-    cell of its i-th face, with coefficient signs[n * nb + c, i].
+    """The normalized bar boundary from degree j >= 1 as (faces, signs):
+    row n * nb + c is the cell (g_1, ..., g_j) x c, c < nb, every g_i
+    other than the identity e, its tuple encoded base |G| - 1 (g_1 most
+    significant) as n, the digit of g being g - 1 if g > e, else g; and
+    faces[n * nb + c, i] is the cell of its i-th face, with coefficient
+    signs[n * nb + c, i].
+
+    The cells with some g_i = e span an acyclic subcomplex of the full
+    bar complex, and the quotient is a free resolution too (Brown,
+    *Cohomology of Groups*, I.5), so the homology is that of the full bar
+    on ((|G| - 1)/|G|)^j of its cells.  In the quotient an inner face
+    whose product g_i g_{i+1} is e is zero: it is listed with sign 0 at
+    an in-range index, and `exactlin.complex_ranks` drops it.
 
     Coefficients are trivial when `action` is None; otherwise they form
     the signed permutation module given by action = (images, signs), two
-    |G| x nb arrays: g sends coefficient cell c to sign * cell images[g, c].
-    The last face carries g_j acting on c.  Coincident faces are listed
-    separately; `exactlin.complex_ranks` sums them.
+    |G| x nb arrays: g sends coefficient cell c to sign * cell images[g, c]
+    (e fixing every cell).  The last face carries g_j acting on c.
+    Coincident faces are listed separately; `complex_ranks` sums them.
+    `table` must be a group's (`_identity_of` checks more): e is read off
+    its first column, as the one g with g x = x.
     """
     order = len(table)
+    base = order - 1
+    e = int(np.flatnonzero(table[:, 0] == 0)[0])
     if action is None:
         action = (np.broadcast_to(np.arange(nb), (order, nb)),
                   np.ones((order, nb), dtype=np.int64))
-    pw = [order ** e for e in range(j + 1)]
+    elem = np.delete(np.arange(order), e)            # digit -> element
+    pw = [base ** i for i in range(j + 1)]
     n = np.arange(pw[j], dtype=np.int64)
-    digit = [n // pw[j - i] % order for i in range(1, j + 1)]   # g_1 .. g_j
-    codes = [n % pw[j - 1]]
+    digit = [n // pw[j - i] % base for i in range(1, j + 1)]   # g_1 .. g_j
+    codes, dead = [n % pw[j - 1]], []
+    if j > 1:
+        prod = table.take(elem, 0).take(elem, 1)
+        live = prod != e
+        prod -= prod > e                             # digit of the product
+        prod[~live] = 0
     for i in range(1, j):
-        merged = n // pw[j - i + 1] * order + table[digit[i - 1], digit[i]]
+        pair = digit[i - 1], digit[i]
+        merged = n // pw[j - i + 1] * base + prod[pair]
         codes.append(merged * pw[j - i - 1] + n % pw[j - i - 1])
+        dead.append(np.flatnonzero(~live[pair]))
     inner = np.stack(codes, axis=1)[:, None, :] * nb + np.arange(nb)[:, None]
     images, twist = action
-    tail = (n // order * nb)[:, None] + images[digit[-1]]
-    tail_sign = (-1 if j % 2 else 1) * twist[digit[-1]]
+    last = elem[digit[-1]]
+    tail = (n // base * nb)[:, None] + images[last]
+    tail_sign = (-1 if j % 2 else 1) * twist[last]
     faces = np.concatenate([inner, tail[:, :, None]], axis=2)
     signs = np.broadcast_to(np.where(np.arange(j) % 2, -1, 1), inner.shape)
     signs = np.concatenate([signs, tail_sign[:, :, None]], axis=2)
+    for i, cells in enumerate(dead, 1):
+        signs[cells, :, i] = 0                       # g_i g_{i+1} = e
     return faces.reshape(-1, j + 1), signs.reshape(-1, j + 1)
 
 
 def _bar_entries(table: np.ndarray, j: int):
-    """Entry arrays (rows, cols, vals, nrows, ncols) of the bar boundary
-    from degree j >= 0 to j - 1; the one from degree 0 is zero."""
-    order = table.shape[0]
+    """Entry arrays (rows, cols, vals, nrows, ncols) of the normalized bar
+    boundary from degree j >= 0 to j - 1; the one from degree 0 is zero."""
+    base = len(table) - 1
     if j == 0:
         return (np.zeros(0, dtype=np.int64),) * 3 + (0, 1)
     return exactlin.index_entries(*_bar_faces(table, j)) + (
-        order ** (j - 1), order ** j)
+        base ** (j - 1), base ** j)
 
 
 def _bar_rank(table: np.ndarray, j: int, p: int) -> int:
-    """Rank over F_p of the bar boundary from degree j >= 0 to j - 1."""
+    """Rank over F_p of the normalized bar boundary from degree j >= 0 to
+    j - 1."""
     return exactlin.entry_rank(*_bar_entries(table, j), p)
 
 
 def _bar_cap(p: int) -> int:
     # the rows of a wide boundary at p = 3 are packed ints of 3-bit fields,
     # still slower per column than the GF(2) bitsets: on a 2-core Xeon,
-    # with clearing, 0.039 s for the 19,683 columns of d_3 of (Z/3)^3
-    # against 0.110 s for the 65,536 of d_4 of (Z/2)^4 (0.088 s and
-    # 0.160 s without; as dicts d_3 took 0.136 s, 0.411 s without), and
-    # other odd p reduce dicts.  So odd p keep a smaller direct-bar
-    # budget; raising it would reroute cases and change what is refused.
+    # best of 5, with clearing, 0.022 s for the 17,576 columns of the
+    # normalized d_3 of (Z/3)^3 against 0.059 s for the 50,625 of d_4 of
+    # (Z/2)^4 (0.055 s and 0.063 s without; as dicts d_3 took 0.105 s,
+    # 0.31 s without), and other odd p reduce dicts.  So odd p keep a
+    # smaller direct-bar budget; raising it would reroute cases and change
+    # what is refused.
     return BAR_CAP if p == 2 else BAR_CAP_ODD
 
 
@@ -166,31 +218,36 @@ def _block_cap(p: int) -> int:
 
 def bar_homology_from_table(table: np.ndarray, k: int, p: int) -> int:
     """dim H_k(G; F_p) of the group with multiplication table `table`,
-    from its bar boundaries d_k and d_{k+1}, ranked in one pass."""
+    from its normalized bar boundaries d_k and d_{k+1}, ranked in one
+    pass.  The table must be square, with entries in [0, |G|) and a
+    two-sided identity; else ValueError."""
     if k < 0:
         raise ValueError(f"degree {k} must be nonnegative")
-    order = table.shape[0]
-    if order ** (k + 1) > _bar_cap(p):
+    _identity_of(table)
+    base = len(table) - 1
+    if base ** (k + 1) > _bar_cap(p):
         raise FeasibilityError(
-            f"bar chain space {order}^{k + 1} exceeds the cap {_bar_cap(p)}")
-    return order ** k - sum(exactlin.complex_ranks(
+            f"bar chain space {base}^{k + 1} exceeds the cap {_bar_cap(p)}")
+    return base ** k - sum(exactlin.complex_ranks(
         (_bar_entries(table, j) for j in (k, k + 1)), p))
 
 
 def homology_dims_product(orders: list[int], p: int, k_max: int) -> list[int]:
     """H_k dims of a product of cyclic groups, by honest bar computation
-    on the factors assembled with the field Kuenneth formula."""
+    on the factors assembled with the field Kuenneth formula; the bars of
+    each distinct factor order are ranked once."""
     dims = [1] + [0] * k_max
+    factor = {q: [bar_homology_from_table(_cyclic_table(q), k, p)
+                  for k in range(k_max + 1)] for q in set(orders)}
     for q in orders:
-        h = [bar_homology_from_table(_cyclic_table(q), k, p)
-             for k in range(k_max + 1)]
+        h = factor[q]
         dims = [sum(dims[i] * h[k - i] for i in range(k + 1))
                 for k in range(k_max + 1)]
     return dims
 
 
 def bar_homology_oracle(G, k: int, p: int) -> int:
-    """dim H_k(G; F_p) via the truncated bar complex.
+    """dim H_k(G; F_p) via the truncated normalized bar complex.
 
     `G` may be a CongruenceGroup, a multiplication table, or a list of
     cyclic factor orders.  When the direct bar complex is too large the
@@ -206,7 +263,7 @@ def bar_homology_oracle(G, k: int, p: int) -> int:
             raise ValueError(f"expected one or more positive cyclic orders, "
                              f"got {list(G)}")
         order = math.prod(G)
-        if order ** (k + 1) <= _bar_cap(p):
+        if (order - 1) ** (k + 1) <= _bar_cap(p):
             table = _cyclic_table(G[0]) if len(G) == 1 else None
             if table is None:
                 table = _product_table([_cyclic_table(q) for q in G])
@@ -215,7 +272,7 @@ def bar_homology_oracle(G, k: int, p: int) -> int:
     if isinstance(G, np.ndarray):
         return bar_homology_from_table(G, k, p)
     # congruence kernel
-    if G.order ** (k + 1) <= _bar_cap(p):
+    if (G.order - 1) ** (k + 1) <= _bar_cap(p):
         return bar_homology_from_table(G.multiplication_table(), k, p)
     info = identify_structure(G.ring.m, G.ring.q, G.n)
     r = info["elementary_abelian_rank"]
@@ -362,9 +419,13 @@ def _face_action(faces: np.ndarray, vmaps: np.ndarray
 def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
     """Reduced equivariant homology dims for degrees -1 .. k_max.
 
-    Defined as homology of the total complex of (truncated bar
+    Defined as homology of the total complex of (truncated normalized bar
     resolution) tensor (augmented simplicial chains) over the group; the
-    augmentation lives in chain degree -1.  The resolution runs to depth
+    augmentation lives in chain degree -1.  Bar degree a holds
+    (|G| - 1)^a copies of the simplicial chains, one per a-tuple of
+    elements other than the identity (`_bar_faces`): the normalized
+    resolution is free too, and a face holding the identity, which acts
+    trivially on the chains, is zero in it.  The resolution runs to depth
     k_max + 2, one degree of slack: truncating it at k_max + 1 changes
     only the boundary out of degree k_max + 1, which loses the block
     (k_max + 2, -1).  When X has a vertex, that boundary's rank is
@@ -378,7 +439,7 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
         raise ValueError("; ".join(errors))
     p = E.p
     exactlin._check_p(p)
-    order = E.table.shape[0]
+    base = E.table.shape[0] - 1    # digits of the normalized bar
     X = E.complex
     top = X.dimension()
     faces = {b: X.faces(b) for b in range(-1, top + 1)}
@@ -390,7 +451,7 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
 
     def blocks(t: int) -> list[tuple[int, int, int]]:
         # x = bar degree a, y = simplicial degree b
-        return [(a, t - a, order ** a * cdims[t - a])
+        return [(a, t - a, base ** a * cdims[t - a])
                 for a in range(t + 2) if t - a <= top]
 
     def bar(a: int, b: int):
@@ -399,7 +460,7 @@ def equivariant_homology(E: EquivariantInput, k_max: int) -> dict[int, int]:
 
     def simplicial(a: int, b: int):
         *entries, nrows, ncols = bdry[b]
-        return fi_homology.tensor_identity(order ** a, entries, nrows, ncols)
+        return fi_homology.tensor_identity(base ** a, entries, nrows, ncols)
 
     degrees = range(-1, k_max + 2)
     dims = _total_dims(blocks, degrees, p)
@@ -434,7 +495,11 @@ def bar_fi_modules(groups: list, jmax: int) -> list[list[list[np.ndarray]]]:
     ins[j][m][t] sends each j-tuple of level m to its image under the
     order embedding [m] -> [m+1] missing t, which puts g in the rows and
     columns other than t and the identity's 1 at (t, t); it acts on tuples
-    entrywise, encoded base |groups[m]| and base |groups[m+1]|.
+    entrywise.  The chains are normalized (`_bar_faces`): a tuple holds no
+    identity, and is encoded base |groups[m]| - 1 in the source and base
+    |groups[m+1]| - 1 in the target, by the digits of its elements.  Each
+    embedding is an injective homomorphism, so it sends the identity alone
+    to the identity, and tuples of the normalized chains to such tuples.
     """
     g_ins = []
     for m, (G, H) in enumerate(zip(groups, groups[1:])):
@@ -444,9 +509,10 @@ def bar_fi_modules(groups: list, jmax: int) -> list[list[list[np.ndarray]]]:
             emb = np.zeros((G.order, m + 1, m + 1), dtype=np.int64)
             emb[:, t, t] = 1
             emb[:, keep[:, None], keep] = G.mats
-            maps.append(H.indices_of(emb))
+            img = np.delete(H.indices_of(emb), G.identity)
+            maps.append(img - (img > H.identity))
         g_ins.append(maps)
-    return [[[_diagonal_extension(g, j, H.order) for g in maps]
+    return [[[_diagonal_extension(g, j, H.order - 1) for g in maps]
              for maps, H in zip(g_ins, groups[1:])]
             for j in range(jmax + 1)]
 
@@ -470,11 +536,11 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
     """
     exactlin._check_p(p)
     groups = [splitbases.congruence_group(m, q, t) for t in range(n + 1)]
-    orders = [G.order for G in groups]
+    bases = [G.order - 1 for G in groups]    # digits of the normalized bar
 
     def blocks(t: int) -> list[tuple[int, int, int]]:
         # x = number of removed points r, y = bar degree j
-        return [(t - j, j, math.comb(n, t - j) * orders[n - t + j] ** j)
+        return [(t - j, j, math.comb(n, t - j) * bases[n - t + j] ** j)
                 for j in range(t + 1) if t - j <= n]
 
     dims = _total_dims(blocks, range(max(0, k - 1), k + 2), p)
@@ -485,14 +551,14 @@ def hyper_fi_bar_homology(m: int, q: int, n: int, k: int, p: int) -> int:
         lev = n - r
         cols = [[{i: 1} for i in g.tolist()] for g in ins[j][lev]]
         return exactlin.column_entries(fi_homology.koszul_columns(
-            cols, n, r, orders[lev + 1] ** j))
+            cols, n, r, bases[lev + 1] ** j))
 
     def bar(r: int, j: int):
         lev = n - r
         entries = exactlin.index_entries(*_bar_faces(tables[lev], j))
         return fi_homology.tensor_identity(math.comb(n, r), entries,
-                                           orders[lev] ** (j - 1),
-                                           orders[lev] ** j)
+                                           bases[lev] ** (j - 1),
+                                           bases[lev] ** j)
 
     return dims[k] - sum(exactlin.complex_ranks(
         (fi_homology.total_entries(blocks, koszul, bar, t)

@@ -850,15 +850,18 @@ def smith_normal_form(A) -> tuple[int, ...]:
 
     diags: list[int] = []
     while mat:
+        # the pivot's copy stays on the heap: should the pivot move on
+        # to a remainder, the entry may survive outside its row and column
         while True:
-            a, f, pi, pj = heapq.heappop(heap)
+            a, f, pi, pj = heap[0]
             v = mat.get((pi, pj))
             if v is None or abs(v) != a:
+                heapq.heappop(heap)
                 continue
             now = fill(pi, pj)
             if now == f:
                 break
-            heapq.heappush(heap, (a, now, pi, pj))
+            heapq.heapreplace(heap, (a, now, pi, pj))
         # make the pivot divide its whole row and column, then clear
         while True:
             pv = mat[(pi, pj)]

@@ -54,15 +54,21 @@ def symmetric_group_table(n):
     return tab
 
 
-def bar_reference(table, j, action=None, nb=1):
+def bar_reference(table, j, action=None, nb=1, normalized=False):
     """Dense integer bar boundary from degree j >= 1, from the definition:
     (g_1, ..., g_j) x c goes to (g_2, ..., g_j) x c
     + sum_{0 < i < j} (-1)^i (..., g_i g_{i+1}, ...) x c
-    + (-1)^j (g_1, ..., g_{j-1}) x g_j c; cells tuple-major, then c."""
+    + (-1)^j (g_1, ..., g_{j-1}) x g_j c; cells tuple-major, then c.
+    Normalized, the tuples are those with no entry the identity e, and
+    a face holding e is zero."""
     order = len(table)
+    elements = range(order)
+    if normalized:
+        e, = [g for g in elements if list(table[g]) == list(elements)]
+        elements = [g for g in elements if g != e]
     lower = {t: i for i, t in
-             enumerate(itertools.product(range(order), repeat=j - 1))}
-    cells = list(itertools.product(range(order), repeat=j))
+             enumerate(itertools.product(elements, repeat=j - 1))}
+    cells = list(itertools.product(elements, repeat=j))
     D = np.zeros((len(lower) * nb, len(cells) * nb), dtype=np.int64)
     for n, g in enumerate(cells):
         for c in range(nb):
@@ -70,7 +76,8 @@ def bar_reference(table, j, action=None, nb=1):
             D[lower[g[1:]] * nb + c, col] += 1
             for i in range(1, j):
                 merged = g[:i - 1] + (int(table[g[i - 1], g[i]]),) + g[i + 1:]
-                D[lower[merged] * nb + c, col] += (-1) ** i
+                if merged in lower:
+                    D[lower[merged] * nb + c, col] += (-1) ** i
             img, sign = (c, 1) if action is None else \
                 (action[0][g[-1], c], action[1][g[-1], c])
             D[lower[g[:-1]] * nb + img, col] += (-1) ** j * sign
@@ -84,6 +91,15 @@ def twisted_regular_action(table):
     return table, f[table] * f[None, :]
 
 
+def normalized_bar_dense(table, j, action=None, nb=1):
+    """The matrix of `congruence._bar_faces`, summed densely over Z."""
+    base = len(table) - 1
+    faces, signs = cg._bar_faces(table, j, action, nb)
+    D = np.zeros((base ** (j - 1) * nb, base ** j * nb), dtype=np.int64)
+    np.add.at(D, (faces, np.arange(len(faces))[:, None]), signs)
+    return D
+
+
 def test_bar_faces_match_definition():
     cyc = cg._cyclic_table
     groups = [cyc(q) for q in (2, 3, 4, 5)] + [
@@ -94,16 +110,59 @@ def test_bar_faces_match_definition():
         for action, nb in ((None, 1), (twisted_regular_action(table), order)):
             prev = None
             for j in range(1, 4):
-                faces, signs = cg._bar_faces(table, j, action, nb)
-                D = np.zeros((order ** (j - 1) * nb, order ** j * nb),
-                             dtype=np.int64)
-                np.add.at(D, (faces, np.arange(len(faces))[:, None]), signs)
-                assert (D == bar_reference(table, j, action, nb)).all()
+                D = normalized_bar_dense(table, j, action, nb)
+                assert (D == bar_reference(table, j, action, nb,
+                                           normalized=True)).all()
                 if prev is not None:
                     # d_{j-1} d_j = 0 over Z, so mod every p; the float64
                     # product of these small integers is exact
                     assert not (prev.astype(float) @ D).any()
                 prev = D
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_normalized_bar_homology_matches_full_bar(p):
+    # H_0 .. H_2 from d_1 .. d_3: the normalized boundaries of _bar_faces
+    # ranked together by complex_ranks, the full bar of the definition
+    # ranked one boundary at a time by the dense column loop
+    cyc = cg._cyclic_table
+    groups = [cyc(q) for q in range(2, 7)] + [
+        cg._product_table([cyc(2), cyc(2)]),
+        cg._product_table([cyc(3), cyc(3)]), symmetric_group_table(3)]
+    for table in groups:
+        order = len(table)
+        for action, nb in ((None, 1), (twisted_regular_action(table), order)):
+            full = [0] + [len(exactlin._rref_columns(
+                bar_reference(table, j, action, nb), p)[1])
+                for j in range(1, 4)]
+            normalized = [normalized_bar_dense(table, j, action, nb)
+                          for j in range(1, 4)]
+            for D, E in zip(normalized, normalized[1:]):
+                assert not (D.astype(float) @ E).any()
+            base = order - 1
+            ranks = [0] + exactlin.complex_ranks(
+                (exactlin.index_entries(*cg._bar_faces(table, j, action, nb))
+                 + (base ** (j - 1) * nb, base ** j * nb)
+                 for j in range(1, 4)), p)
+            for k in range(3):
+                assert (base ** k * nb - ranks[k] - ranks[k + 1]
+                        == order ** k * nb - full[k] - full[k + 1]), \
+                    (order, nb, k)
+
+
+@pytest.mark.parametrize("table,problem", [
+    (np.zeros((2, 3), dtype=np.int64), "not square"),
+    (np.array([[0, 1], [1, 2]]), "outside"),
+    (np.array([[0, 1], [-1, 0]]), "outside"),
+    (np.ones((2, 2), dtype=np.int64), "identity"),
+    # every element a left identity, neither a right one
+    (np.array([[0, 1], [0, 1]]), "identity"),
+])
+def test_bar_rejects_malformed_tables(table, problem):
+    with pytest.raises(ValueError, match=problem):
+        cg.bar_homology_from_table(table, 1, 2)
+    with pytest.raises(ValueError, match=problem):
+        cg.bar_homology_oracle(table, 1, 2)
 
 
 def test_bar_ranks_match_dense_rref():
@@ -118,10 +177,10 @@ def test_bar_ranks_match_dense_rref():
         order = len(table)
         for action, nb in ((None, 1), (twisted_regular_action(table), order)):
             for j in range(1, 4):
-                if order ** j * nb > 2000:
+                if (order - 1) ** j * nb > 2000:
                     continue
                 faces, signs = cg._bar_faces(table, j, action, nb)
-                D = bar_reference(table, j, action, nb)
+                D = bar_reference(table, j, action, nb, normalized=True)
                 assert exactlin.entry_rank(
                     *exactlin.index_entries(faces, signs), len(D), len(faces),
                     3) == len(exactlin._rref_columns(D, 3)[1])
@@ -162,6 +221,22 @@ def test_kunneth_route_agrees_with_direct_bar():
             direct = cg.bar_homology_from_table(table, k, p)
             kunneth = cg.homology_dims_product(orders, p, k)[k]
             assert direct == kunneth
+
+
+def test_kunneth_ranks_each_factor_order_once(monkeypatch):
+    calls, from_table = [], cg.bar_homology_from_table
+
+    def counting(table, k, p):
+        calls.append((len(table), k))
+        return from_table(table, k, p)
+
+    monkeypatch.setattr(cg, "bar_homology_from_table", counting)
+    assert cg.homology_dims_product([3] * 4, 3, 3) == [
+        cg.cohom_dim_formula(4, k) for k in range(4)]
+    assert calls == [(3, k) for k in range(4)]
+    calls.clear()
+    cg.homology_dims_product([2, 4, 2], 2, 2)
+    assert sorted(calls) == [(q, k) for q in (2, 4) for k in range(3)]
 
 
 def test_bar_on_congruence_group():
@@ -210,7 +285,7 @@ def test_bar_clearing_skips_the_rows_proved_dependent(monkeypatch, p):
     monkeypatch.setattr(exactlin, name, counting)
     assert exactlin.complex_ranks(boundaries, p) == plain
     assert plain[0] > 0
-    assert fed == [order ** 2, order ** 3 - plain[0]]
+    assert fed == [(order - 1) ** 2, (order - 1) ** 3 - plain[0]]
     assert cg.bar_homology_from_table(table, 3, p) == 4
 
 
@@ -370,26 +445,34 @@ def test_validate_checks_every_pair():
                                          (4, 2, 3, 2), (8, 2, 2, 2)])
 def test_insertion_indices_match_permutation_route(m, q, N, jmax):
     # oracle: the corner inclusion, then conjugation by the adjacent
-    # transpositions of insertion_permutation(lev, t), all on j-tuples
+    # transpositions of insertion_permutation(lev, t), all on j-tuples of
+    # elements other than the identity, each element by its rank among
+    # the non-identity elements of its group
     groups = [sb.congruence_group(m, q, n) for n in range(N + 1)]
     ins = cg.bar_fi_modules(groups, jmax)
     for lev in range(N):
         G, H = groups[lev], groups[lev + 1]
+        g_non = [g for g in range(G.order) if g != G.identity]
+        h_non = [h for h in range(H.order) if h != H.identity]
+        h_code = {h: c for c, h in enumerate(h_non)}
         emb = np.broadcast_to(np.eye(lev + 1, dtype=np.int64),
                               (G.order, lev + 1, lev + 1)).copy()
         emb[:, :lev, :lev] = G.mats
         incl = H.indices_of(emb)
+        incl = np.array([h_code[incl[g]] for g in g_non], dtype=np.int64)
         trans = []
         for i in range(lev):
             sw = list(range(lev + 1))
             sw[i], sw[i + 1] = i + 1, i
-            trans.append(H.indices_of(H.mats[:, sw][:, :, sw]))
+            img = H.indices_of(H.mats[:, sw][:, :, sw])
+            trans.append(np.array([h_code[img[h]] for h in h_non],
+                                  dtype=np.int64))
         for t in range(lev + 1):
             sigma = fi_core.insertion_permutation(lev, t)
             for j in range(jmax + 1):
-                ref = cg._diagonal_extension(incl, j, H.order)
+                ref = cg._diagonal_extension(incl, j, len(h_non))
                 for i in fi_core.adjacent_factorization(sigma):
-                    ref = cg._diagonal_extension(trans[i], j, H.order)[ref]
+                    ref = cg._diagonal_extension(trans[i], j, len(h_non))[ref]
                 assert (ins[j][lev][t] == ref).all()
 
 

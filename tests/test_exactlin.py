@@ -795,6 +795,16 @@ def test_snf_heap_matches_scan_and_sympy(A):
     assert inv == snf_oracle(A)
 
 
+def test_snf_keeps_the_entry_a_pivot_moved_off():
+    # a pivot chosen at 12 in (3, 2) moves on to a remainder in its row,
+    # then down the new column, and leaves the 12 outside the row and
+    # column it clears; with the heap copy of the 12 spent, no pivot was
+    # found once the 12 was all that was left
+    A = np.array([[0, -3, 0, 1, 4], [1, 0, 1, 2, 0], [1, 0, -1, 1, 0],
+                  [1, 0, 3, 1, 0], [1, 0, 3, 1, 4]])
+    assert exactlin.smith_normal_form(A) == snf_oracle(A) == (1, 1, 1, 4, 12)
+
+
 def test_snf_rejects_non_integer_matrices():
     with pytest.raises(ValueError):
         exactlin.smith_normal_form(np.array([[0.5, 0], [0, 2.7]]))
